@@ -4,7 +4,8 @@ Every invocation writes exactly one JSON document with sorted keys to
 standard output, so identical invocations produce byte-identical bytes;
 wall-clock timing goes to standard error where it cannot disturb golden
 files.  Exit codes: 0 on success, 1 on a domain error (bad input, unknown
-command), 2 when a resource ceiling is exceeded.
+command), 2 when a resource ceiling is exceeded, 3 when one of the
+program's own self-checks fails (an internal error).
 """
 
 from __future__ import annotations
@@ -125,7 +126,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load(path: str):
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _run_cat(args) -> object:
@@ -317,14 +321,11 @@ def dispatch(argv) -> RunReport:
         error, code = None, 0
     except ResourceLimitExceeded as exc:
         result, error, code = None, str(exc), 2
-    except (
-        ValueError,
-        KeyError,
-        TypeError,
-        AssertionError,
-        OSError,
-        json.JSONDecodeError,
-    ) as exc:
+    except (AssertionError, RuntimeError) as exc:
+        # A self-check of the program failed: d.d != 0, a relator that does
+        # not die, a k-invariant that does not factor, an impossible gluing.
+        result, error, code = None, f"internal error: {type(exc).__name__}: {exc}", 3
+    except (ValueError, KeyError, TypeError, OSError) as exc:
         result, error, code = None, f"{type(exc).__name__}: {exc}", 1
     return RunReport(command, result, error, code, time.perf_counter() - start)
 

@@ -23,6 +23,8 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 
+from .exactmath import strict_int
+
 Pair = tuple[int, int]
 
 
@@ -78,10 +80,10 @@ def matching(m: int, n: int, pairs, circles: int = 0) -> Matching1D:
 
 def matching_from_json(data: dict) -> Matching1D:
     return matching(
-        int(data["m"]),
-        int(data["n"]),
-        [tuple(p) for p in data["pairs"]],
-        int(data.get("circles", 0)),
+        strict_int(data["m"]),
+        strict_int(data["n"]),
+        [tuple(strict_int(x) for x in p) for p in data["pairs"]],
+        strict_int(data.get("circles", 0)),
     )
 
 
@@ -226,7 +228,7 @@ class PlanarDiagram:
     def __post_init__(self):
         if self.m < 0:
             raise ValueError("incoming count must be nonnegative")
-        slices = tuple((str(kind), int(i)) for kind, i in self.slices)
+        slices = tuple((str(kind), strict_int(i)) for kind, i in self.slices)
         object.__setattr__(self, "slices", slices)
         count = self.m
         for t, (kind, i) in enumerate(slices):
@@ -262,8 +264,10 @@ class PlanarDiagram:
 
 
 def diagram_from_json(data: dict) -> PlanarDiagram:
-    w = PlanarDiagram(int(data["m"]), tuple((s[0], s[1]) for s in data["slices"]))
-    if "n" in data and int(data["n"]) != w.n:
+    w = PlanarDiagram(
+        strict_int(data["m"]), tuple((kind, i) for kind, i in data["slices"])
+    )
+    if "n" in data and strict_int(data["n"]) != w.n:
         raise ValueError(f"declared n={data['n']} but word yields {w.n}")
     return w
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactmath import AbelianInvariants, quotient_group
+from .exactmath import AbelianInvariants, UnionFind, quotient_group, strict_int
 
 EpsEntry = tuple[str, str, int]
 
@@ -131,7 +131,7 @@ def component(
             side, cid = _normalize_eps_key(key, in_set, out_set)
             if (side, cid) not in signs:
                 raise ValueError(f"eps key {side}:{cid} is not a boundary circle")
-            signs[(side, cid)] = int(sign)
+            signs[(side, cid)] = strict_int(sign)
     entries = sorted((side, cid, sign) for (side, cid), sign in signs.items())
     if entries[0][2] == -1:
         entries = [(side, cid, -sign) for side, cid, sign in entries]
@@ -219,47 +219,6 @@ def klein_endo() -> SurfaceCobordism:
     return closed_endomorphism([KLEIN])
 
 
-class _ParityUnionFind:
-    """Union-find with a Z/2 weight on edges, flagging inconsistent cycles."""
-
-    def __init__(self):
-        self.parent: dict = {}
-        self.par: dict = {}
-        self.rank: dict = {}
-        self.odd: dict = {}
-
-    def add(self, x) -> None:
-        if x not in self.parent:
-            self.parent[x] = x
-            self.par[x] = 0
-            self.rank[x] = 0
-            self.odd[x] = False
-
-    def find(self, x):
-        if self.parent[x] == x:
-            return x, 0
-        root, p = self.find(self.parent[x])
-        self.parent[x] = root
-        self.par[x] ^= p
-        return root, self.par[x]
-
-    def union(self, x, y, parity: int) -> None:
-        rx, px = self.find(x)
-        ry, py = self.find(y)
-        if rx == ry:
-            if (px ^ py) != parity:
-                self.odd[rx] = True
-            return
-        if self.rank[rx] < self.rank[ry]:
-            rx, ry = ry, rx
-            px, py = py, px
-        self.parent[ry] = rx
-        self.par[ry] = px ^ py ^ parity
-        self.odd[rx] = self.odd[rx] or self.odd[ry]
-        if self.rank[rx] == self.rank[ry]:
-            self.rank[rx] += 1
-
-
 def compose_surface(w: SurfaceCobordism, w2: SurfaceCobordism) -> SurfaceCobordism:
     """Glue w2 after w along the shared circles.
 
@@ -270,38 +229,28 @@ def compose_surface(w: SurfaceCobordism, w2: SurfaceCobordism) -> SurfaceCobordi
     """
     if w.tgt != w2.src:
         raise ValueError(f"interface mismatch: {w.tgt} vs {w2.src}")
-    uf = _ParityUnionFind()
-    for i in range(len(w.components)):
-        uf.add(("A", i))
-    for j in range(len(w2.components)):
-        uf.add(("B", j))
+    # Pieces of w are 0..k-1 and pieces of w2 are k..
+    k = len(w.components)
+    pieces = w.components + w2.components
+    uf = UnionFind(len(pieces))
     out_owner = {c: i for i, comp in enumerate(w.components) for c in comp.out_circles}
-    in_owner = {c: j for j, comp in enumerate(w2.components) for c in comp.in_circles}
+    in_owner = {c: k + j for j, comp in enumerate(w2.components) for c in comp.in_circles}
     for c in w.tgt:
         i, j = out_owner[c], in_owner[c]
-        a, b = w.components[i], w2.components[j]
+        a, b = pieces[i], pieces[j]
         if a.orientable and b.orientable:
             parity = 1 if a.eps_map()[("out", c)] == b.eps_map()[("in", c)] else 0
         else:
             parity = 0
-        uf.union(("A", i), ("B", j), parity)
-
-    groups: dict = {}
-    for tag, comps in (("A", w.components), ("B", w2.components)):
-        for idx in range(len(comps)):
-            root, _ = uf.find((tag, idx))
-            groups.setdefault(root, []).append((tag, idx))
+        uf.union(i, j, parity)
 
     merged = []
-    for root, members in groups.items():
-        pieces = [
-            (tag, w.components[idx] if tag == "A" else w2.components[idx])
-            for tag, idx in members
-        ]
-        chi = sum(p.chi for _, p in pieces)
-        non_orientable = any(not p.orientable for _, p in pieces) or uf.odd[root]
-        new_in = [c for tag, p in pieces if tag == "A" for c in p.in_circles]
-        new_out = [c for tag, p in pieces if tag == "B" for c in p.out_circles]
+    for members in uf.groups():
+        root, _ = uf.find(members[0])
+        chi = sum(pieces[x].chi for x in members)
+        non_orientable = uf.odd[root] or any(not pieces[x].orientable for x in members)
+        new_in = [c for x in members if x < k for c in pieces[x].in_circles]
+        new_out = [c for x in members if x >= k for c in pieces[x].out_circles]
         b = len(new_in) + len(new_out)
         if non_orientable:
             h = 2 - chi - b
@@ -315,15 +264,14 @@ def compose_surface(w: SurfaceCobordism, w2: SurfaceCobordism) -> SurfaceCobordi
         if two_g % 2 != 0 or two_g < 0:
             raise RuntimeError(f"non-integer genus from chi={chi}, boundary={b}")
         eps: dict[tuple[str, str], int] = {}
-        for (tag, idx), (_, p) in zip(members, pieces):
-            _, parity = uf.find((tag, idx))
-            o = -1 if parity else 1
-            signs = p.eps_map()
-            if tag == "A":
-                for c in p.in_circles:
+        for x in members:
+            o = -1 if uf.find(x)[1] else 1
+            signs = pieces[x].eps_map()
+            if x < k:
+                for c in pieces[x].in_circles:
                     eps[("in", c)] = o * signs[("in", c)]
             else:
-                for c in p.out_circles:
+                for c in pieces[x].out_circles:
                     eps[("out", c)] = o * signs[("out", c)]
         merged.append(component(True, two_g // 2, new_in, new_out, eps or None))
     return surface(w.src, w2.tgt, merged)
@@ -561,7 +509,7 @@ def surface_from_json(data: dict) -> SurfaceCobordism:
     comps = []
     for entry in data["components"]:
         orientable = bool(entry["orientable"])
-        genus = int(entry["genus"] if orientable else entry["crosscaps"])
+        genus = strict_int(entry["genus"] if orientable else entry["crosscaps"])
         comps.append(
             component(
                 orientable,

@@ -10,7 +10,7 @@ modular shortcuts.  Main entry points:
     GroupPresentation       relator words over named generators
     abelianize              invariants of the abelianization of a presentation
     simplify_presentation   bounded, deterministic Tietze simplification
-    UnionFind               growable disjoint-set forest
+    UnionFind               disjoint-set forest with Z/2 edge parities
 
 >>> d, left, right = smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]]))
 >>> d
@@ -23,6 +23,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
+
+
+def strict_int(value: object) -> int:
+    """``value`` itself when it is an integer; bool, float, str and every
+    other type are refused rather than converted.
+
+    >>> strict_int(3)
+    3
+    >>> strict_int(True)
+    Traceback (most recent call last):
+    ...
+    ValueError: expected an integer, got True
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
 
 
 class IntMatrix:
@@ -108,37 +124,6 @@ class IntMatrix:
 
     def __repr__(self) -> str:
         return f"IntMatrix.from_rows({self.to_rows()!r})"
-
-
-def determinant(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination.
-
-    >>> determinant(IntMatrix.from_rows([[2, 1], [1, 1]]))
-    1
-    """
-    if m.rows != m.cols:
-        raise ValueError("determinant needs a square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = m.to_rows()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 def _find_pivot(a: list[list[int]], t: int, rows: int, cols: int):
@@ -250,12 +235,6 @@ def smith_normal_form(
 
     diag = [a[k][k] for k in range(min(rows, cols))]
     return diag, IntMatrix.from_rows(left), IntMatrix.from_rows(right)
-
-
-def matrix_rank(m: IntMatrix) -> int:
-    """Rank over the rationals (count of nonzero Smith diagonal entries)."""
-    diag, _, _ = smith_normal_form(m)
-    return sum(1 for d in diag if d)
 
 
 @dataclass(frozen=True)
@@ -515,41 +494,53 @@ def simplify_presentation(
 
 
 class UnionFind:
-    """Disjoint-set forest with path compression and union by rank.
+    """Disjoint-set forest over 0..n-1 with path compression, union by rank
+    and a Z/2 weight on every edge.
+
+    ``union(x, y, parity)`` records that x and y differ by ``parity``;
+    ``find`` returns the root of a class with the parity of its argument
+    relative to that root, and ``odd[root]`` flags a class whose parity
+    constraints contradict each other.
 
     >>> uf = UnionFind(3)
-    >>> uf.union(0, 2)
+    >>> uf.union(0, 2, parity=1)
     True
-    >>> uf.find(0) == uf.find(2)
-    True
+    >>> uf.find(0)[0] == uf.find(2)[0], uf.find(0)[1] != uf.find(2)[1]
+    (True, True)
     >>> uf.groups()
     [[0, 2], [1]]
     """
 
-    def __init__(self, n: int = 0):
+    def __init__(self, n: int):
         self.parent = list(range(n))
         self.rank = [0] * n
+        self.parity = [0] * n  # relative to parent, then to root once compressed
+        self.odd = [False] * n
 
-    def make_set(self) -> int:
-        self.parent.append(len(self.parent))
-        self.rank.append(0)
-        return len(self.parent) - 1
+    def find(self, x: int) -> tuple[int, int]:
+        path = []
+        while self.parent[x] != x:
+            path.append(x)
+            x = self.parent[x]
+        acc = 0
+        for y in reversed(path):
+            acc ^= self.parity[y]
+            self.parity[y] = acc
+            self.parent[y] = x
+        return x, self.parity[path[0]] if path else 0
 
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x: int, y: int) -> bool:
-        rx, ry = self.find(x), self.find(y)
+    def union(self, x: int, y: int, parity: int = 0) -> bool:
+        rx, px = self.find(x)
+        ry, py = self.find(y)
         if rx == ry:
+            if px ^ py != parity:
+                self.odd[rx] = True
             return False
         if self.rank[rx] < self.rank[ry]:
             rx, ry = ry, rx
         self.parent[ry] = rx
+        self.parity[ry] = px ^ py ^ parity
+        self.odd[rx] = self.odd[rx] or self.odd[ry]
         if self.rank[rx] == self.rank[ry]:
             self.rank[rx] += 1
         return True
@@ -557,7 +548,7 @@ class UnionFind:
     def groups(self) -> list[list[int]]:
         buckets: dict[int, list[int]] = {}
         for x in range(len(self.parent)):
-            buckets.setdefault(self.find(x), []).append(x)
+            buckets.setdefault(self.find(x)[0], []).append(x)
         return sorted(buckets.values())
 
 

@@ -3,8 +3,8 @@
 Inverting every morphism of a category gives a groupoid whose automorphism
 groups are fundamental groups of the classifying space.  This module extracts
 those presentations, derives the commuting-square relators that any
-localization must satisfy, and runs the relator engines that compute the
-abelianized automorphism group of the empty object for the two cobordism
+localization must satisfy, and runs one relator engine that computes the
+abelianized automorphism group of the empty object for two cobordism
 categories: closed surfaces (detected by Euler characteristic) and closed
 planar 1-manifold diagrams (detected by the signed circle count).
 """
@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .cob2 import (
+    S2,
     ConnectedClass,
     SurfaceCobordism,
     class_name,
@@ -26,7 +27,6 @@ from .cob2 import (
 from .exactmath import (
     AbelianInvariants,
     GroupPresentation,
-    UnionFind,
     Word,
     free_reduce,
     quotient_group,
@@ -121,20 +121,18 @@ def abelian_loop_classes(
     vector of morphism f transported to the basepoint; identities are zero.
     """
     p = fundamental_group(c, basepoint)
-    rows = [_exponent_row(w, len(p.generators)) for w in p.relators]
+    rows = p.exponent_matrix().to_rows()
     invariants, gen_classes = quotient_group(rows, len(p.generators))
     zero = [(0, mod) for _, mod in gen_classes[0]] if gen_classes else []
     classes: dict[int, list[tuple[int, int]]] = {}
     letter = {name: i for i, name in enumerate(p.generators)}
-    for f in component_objects_morphisms(c, basepoint):
+    comp = component_objects(c, basepoint)
+    for f in range(len(c.morphisms)):
+        if c.src[f] not in comp:
+            continue
         name = c.morphisms[f]
         classes[f] = gen_classes[letter[name]] if name in letter else list(zero)
     return invariants, classes
-
-
-def component_objects_morphisms(c: FinCat, basepoint: str) -> list[int]:
-    comp = component_objects(c, basepoint)
-    return [f for f in range(len(c.morphisms)) if c.src[f] in comp]
 
 
 def word_class(
@@ -156,13 +154,6 @@ def word_class(
             return tuple(0 for _ in vec)
         return ()
     return tuple(acc)
-
-
-def _exponent_row(word: Word, width: int) -> list[int]:
-    row = [0] * width
-    for letter in word:
-        row[abs(letter) - 1] += 1 if letter > 0 else -1
-    return row
 
 
 def induced_automorphism_map(
@@ -242,6 +233,73 @@ def induced_automorphism_map(
 
 
 # ---------------------------------------------------------------------------
+# The commuting-square relator engine shared by both cobordism models.
+
+
+def _count_row(items: Iterable, index: Mapping) -> list[int] | None:
+    """How often each basis element occurs in items; None if one is outside
+    the basis."""
+    row = [0] * len(index)
+    for item in items:
+        if item not in index:
+            return None
+        row[index[item]] += 1
+    return row
+
+
+def _relator_engine(
+    levels: Iterable[tuple], width: int, positive: int
+) -> tuple[AbelianInvariants, tuple[tuple[tuple[int, int], ...], ...], int, int]:
+    """Z^width modulo the commuting-square relators of the given levels.
+
+    A level is ``(caps, cups, ref_cap, ref_cup, close)`` over one boundary
+    object y, where ``close(cup, cap)`` is the class row of the closed
+    composite, or None when it leaves the basis.  Each cap-cup pair gives
+    the row ``close(cup, cap) - close(cup, ref_cap) - close(ref_cup, cap) +
+    close(ref_cup, ref_cap)``; the row of a general square is the signed sum
+    of the rows of its four corners, so these span the same lattice.  Pairs
+    whose composite leaves the basis are skipped and counted, and zero or
+    repeated rows are dropped.  Free coordinates are flipped so that
+    generator ``positive`` lands on the positive side.
+
+    Returns ``(invariants, classes, relator row count, skipped instances)``.
+    """
+    skipped = 0
+    seen: set[tuple[int, ...]] = set()
+    rows: list[tuple[int, ...]] = []
+    for caps, cups, ref_cap, ref_cup, close in levels:
+        corner = close(ref_cup, ref_cap)
+        cap_refs = [close(ref_cup, cap) for cap in caps]
+        cup_refs = [close(cup, ref_cap) for cup in cups]
+        assert corner is not None and None not in cap_refs + cup_refs
+        for i, cap in enumerate(caps):
+            for k, cup in enumerate(cups):
+                a = close(cup, cap)
+                if a is None:
+                    skipped += 1
+                    continue
+                row = tuple(
+                    av - bv - cv + dv
+                    for av, bv, cv, dv in zip(a, cup_refs[k], cap_refs[i], corner)
+                )
+                if any(row) and row not in seen:
+                    seen.add(row)
+                    rows.append(row)
+
+    invariants, classes = quotient_group(reduce_lattice_rows(rows, width), width)
+    flips = {
+        pos
+        for pos, (value, modulus) in enumerate(classes[positive])
+        if modulus == 0 and value < 0
+    }
+    fixed = tuple(
+        tuple((-v if pos in flips else v, mod) for pos, (v, mod) in enumerate(vec))
+        for vec in classes
+    )
+    return invariants, fixed, len(rows), skipped
+
+
+# ---------------------------------------------------------------------------
 # Surface relation instances and the localization class group.
 
 
@@ -286,10 +344,10 @@ def surface_relator_vector(
     """
     row = [0] * len(index)
     for sign, w in zip((1, -1, -1, 1), inst.composites()):
-        for cls in surface_class(w).components:
-            if cls not in index:
-                return None
-            row[index[cls]] += sign
+        vec = _count_row(surface_class(w).components, index)
+        if vec is None:
+            return None
+        row = [r + sign * v for r, v in zip(row, vec)]
     return row
 
 
@@ -344,19 +402,6 @@ def connected_generators(max_complexity: int) -> tuple[ConnectedClass, ...]:
     return tuple(out)
 
 
-def _one_circle_shapes(min_chi: int) -> list[tuple[bool, int]]:
-    shapes = []
-    g = 0
-    while 1 - 2 * g >= min_chi:
-        shapes.append((True, g))
-        g += 1
-    h = 1
-    while 1 - h >= min_chi:
-        shapes.append((False, h))
-        h += 1
-    return shapes
-
-
 def _pieces(
     circles: tuple[str, ...], min_chi: int, as_cap: bool
 ) -> list[SurfaceCobordism]:
@@ -366,7 +411,8 @@ def _pieces(
 
     One circle forces a connected piece; two circles also admit a pair of
     one-holed components, one per circle, and two epsilon variants of the
-    connected orientable shape.
+    connected orientable shape.  A piece with b boundary circles has the
+    Euler characteristic of its closed shape minus b.
     """
     src = circles if as_cap else ()
     tgt = () if as_cap else circles
@@ -376,22 +422,17 @@ def _pieces(
         outs = () if as_cap else owned
         return component(orientable, genus, ins, outs, eps)
 
-    pieces = []
-    singles = _one_circle_shapes(min_chi)
+    singles = connected_generators(-(min_chi + 1))
     if len(circles) == 1:
-        for orientable, genus in singles:
-            pieces.append(surface(src, tgt, [comp(orientable, genus, circles)]))
-        return pieces
-    g = 0
-    while -2 * g >= min_chi:
+        return [surface(src, tgt, [comp(o, g, circles)]) for o, g in singles]
+    pieces = []
+    for orientable, genus in connected_generators(-(min_chi + 2)):
+        if not orientable:
+            pieces.append(surface(src, tgt, [comp(False, genus, circles)]))
+            continue
         for second_sign in (1, -1):
             eps = {circles[0]: 1, circles[1]: second_sign}
-            pieces.append(surface(src, tgt, [comp(True, g, circles, eps)]))
-        g += 1
-    h = 1
-    while -h >= min_chi:
-        pieces.append(surface(src, tgt, [comp(False, h, circles)]))
-        h += 1
+            pieces.append(surface(src, tgt, [comp(True, genus, circles, eps)]))
     for first in singles:
         for second in singles:
             pieces.append(
@@ -405,17 +446,6 @@ def _pieces(
                 )
             )
     return pieces
-
-
-def _class_vector(
-    w: SurfaceCobordism, index: Mapping[ConnectedClass, int]
-) -> list[int] | None:
-    row = [0] * len(index)
-    for cls in surface_class(w).components:
-        if cls not in index:
-            return None
-        row[index[cls]] += 1
-    return row
 
 
 def surface_localization_group(max_complexity: int) -> SurfaceLocalizationResult:
@@ -438,60 +468,26 @@ def surface_localization_group(max_complexity: int) -> SurfaceLocalizationResult
     basis = connected_generators(max_complexity)
     index = {cls: i for i, cls in enumerate(basis)}
 
-    skipped = 0
-    seen: set[tuple[int, ...]] = set()
-    rows: list[list[int]] = []
+    def close(cup: SurfaceCobordism, cap: SurfaceCobordism) -> list[int] | None:
+        return _count_row(surface_class(compose_surface(cup, cap)).components, index)
 
+    levels = []
     for n_circles in (1, 2):
         circles = tuple(f"y{i}" for i in range(n_circles))
-        caps = _pieces(circles, -max_complexity, as_cap=True)
-        cups = _pieces(circles, -max_complexity, as_cap=False)
-        disc_cap = caps[0] if n_circles == 1 else _pieces(circles, 1, True)[0]
-        disc_cup = cups[0] if n_circles == 1 else _pieces(circles, 1, False)[0]
-        corner = _class_vector(compose_surface(disc_cup, disc_cap), index)
-        cap_refs = [
-            _class_vector(compose_surface(disc_cup, cap), index) for cap in caps
-        ]
-        cup_refs = [
-            _class_vector(compose_surface(cup, disc_cap), index) for cup in cups
-        ]
-        assert corner is not None
-        assert all(vec is not None for vec in cap_refs + cup_refs)
-        for i, cap in enumerate(caps):
-            for k, cup in enumerate(cups):
-                a = _class_vector(compose_surface(cup, cap), index)
-                if a is None:
-                    skipped += 1
-                    continue
-                row = [
-                    av - bv - cv + dv
-                    for av, bv, cv, dv in zip(a, cup_refs[k], cap_refs[i], corner)
-                ]
-                key = tuple(row)
-                if any(key) and key not in seen:
-                    seen.add(key)
-                    rows.append(row)
-
-    reduced = reduce_lattice_rows(rows, len(basis))
-    invariants, classes = quotient_group(reduced, len(basis))
-
-    # Flip free coordinates so the sphere lands on the positive side.
-    sphere = list(classes[index[(True, 0)]])
-    flips = {
-        pos
-        for pos, (value, modulus) in enumerate(sphere)
-        if modulus == 0 and value < 0
-    }
-    fixed = []
-    for vec in classes:
-        fixed.append(
-            tuple(
-                (-v if pos in flips else v, mod)
-                for pos, (v, mod) in enumerate(vec)
+        levels.append(
+            (
+                _pieces(circles, -max_complexity, as_cap=True),
+                _pieces(circles, -max_complexity, as_cap=False),
+                _pieces(circles, 1, as_cap=True)[0],
+                _pieces(circles, 1, as_cap=False)[0],
+                close,
             )
         )
+    invariants, classes, relator_count, skipped = _relator_engine(
+        levels, len(basis), index[S2]
+    )
     return SurfaceLocalizationResult(
-        invariants, basis, tuple(fixed), len(rows), skipped
+        invariants, basis, classes, relator_count, skipped
     )
 
 
@@ -658,52 +654,20 @@ def planar_localization_data(max_points: int = 8) -> PlanarLocalizationData:
     basis = tuple(enumerate_trees(max_points // 2))
     index = {tree: i for i, tree in enumerate(basis)}
 
-    def vec(forest: tuple[Tree, ...]) -> list[int]:
-        row = [0] * len(basis)
-        for tree in forest:
-            row[index[tree]] += 1
-        return row
+    def close(
+        cup: Sequence[tuple[int, int]], cap: Sequence[tuple[int, int]]
+    ) -> list[int] | None:
+        return _count_row(closed_diagram_forest(cup, cap), index)
 
-    rows: list[list[int]] = []
+    levels = []
     for m in range(2, max_points + 1, 2):
         matchings = crossingless_matchings(m)
         ref = tuple((i, i + 1) for i in range(0, m, 2))
-        corner = vec(closed_diagram_forest(ref, ref))
-        cap_rows = [vec(closed_diagram_forest(ref, cap)) for cap in matchings]
-        cup_rows = [vec(closed_diagram_forest(cup, ref)) for cup in matchings]
-        for i, cap in enumerate(matchings):
-            for k, cup in enumerate(matchings):
-                a = vec(closed_diagram_forest(cup, cap))
-                row = [
-                    av - bv - cv + dv
-                    for av, bv, cv, dv in zip(
-                        a, cup_rows[k], cap_rows[i], corner
-                    )
-                ]
-                if any(row):
-                    rows.append(row)
-
-    pi1, classes = quotient_group(reduce_lattice_rows(rows, len(basis)), len(basis))
-
-    circle = list(classes[index[()]])
-    flips = {
-        pos
-        for pos, (value, modulus) in enumerate(circle)
-        if modulus == 0 and value < 0
-    }
-    fixed = tuple(
-        tuple((-v if pos in flips else v, mod) for pos, (v, mod) in enumerate(vec))
-        for vec in classes
-    )
+        levels.append((matchings, matchings, ref, ref, close))
+    pi1, classes, _, _ = _relator_engine(levels, len(basis), index[()])
 
     # Objects: point counts joined by cups, so m and m + 2 are cobordant.
-    uf = UnionFind(max_points + 1)
-    pi0_rows = []
-    for m in range(0, max_points - 1):
-        uf.union(m, m + 2)
-        pi0_rows.append([(m + 2) - m])
-    pi0, _ = quotient_group(pi0_rows, 1)
-    assert len(uf.groups()) == 2
+    pi0, _ = quotient_group([[2]], 1)
 
     derivation = (
         "objects: point counts with m ~ m+2 via a cup, giving the order-2 "
@@ -711,4 +675,4 @@ def planar_localization_data(max_points: int = 8) -> PlanarLocalizationData:
         "automorphisms of the empty object: nesting trees modulo "
         f"commuting-square relators from matchings on <= {max_points} points",
     )
-    return PlanarLocalizationData(pi0, pi1, basis, fixed, derivation)
+    return PlanarLocalizationData(pi0, pi1, basis, classes, derivation)

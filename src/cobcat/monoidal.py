@@ -28,7 +28,7 @@ from .cob1 import (
     cup_matching,
     matching,
 )
-from .exactmath import AbelianInvariants, quotient_group
+from .exactmath import AbelianInvariants, quotient_group, strict_int
 from .limits import ResourceLimitExceeded
 from .localize import planar_localization_data
 
@@ -36,14 +36,34 @@ from .localize import planar_localization_data
 # Exact fields
 
 
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin on the bases above decides primality exactly below this bound
+# (Sorenson and Webster, 2015).
+_PRIME_BOUND = 318665857834031151167461
+
+
 def _check_prime(p: int) -> None:
+    if p >= _PRIME_BOUND:
+        raise ResourceLimitExceeded(
+            f"primality of {p} is decided only below {_PRIME_BOUND}"
+        )
     if p < 2:
         raise ValueError(f"{p} is not prime")
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    if p in _PRIME_BASES:
+        return
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             raise ValueError(f"{p} is not prime")
-        d += 1
 
 
 @dataclass(frozen=True)
@@ -319,7 +339,7 @@ class AbGroup:
         return self.rank + len(self.torsion)
 
     def normalize(self, coords) -> tuple[int, ...]:
-        coords = tuple(int(v) for v in coords)
+        coords = tuple(strict_int(v) for v in coords)
         if len(coords) != self.ncoords:
             raise ValueError(
                 f"expected {self.ncoords} coordinates, got {len(coords)}"
@@ -728,7 +748,9 @@ def picard_equivalent(p: PicardData, q: PicardData, search_bound: int = 20000) -
 
 
 def invariants_from_json(data: dict) -> AbelianInvariants:
-    return AbelianInvariants(int(data["rank"]), tuple(int(d) for d in data["torsion"]))
+    return AbelianInvariants(
+        strict_int(data["rank"]), tuple(strict_int(d) for d in data["torsion"])
+    )
 
 
 def picard_to_json(p: PicardData) -> dict:

@@ -145,23 +145,23 @@ def homology(n: NerveComplex) -> list[AbelianInvariants]:
     return out
 
 
-def pi0(c: FinCat) -> list[list[str]]:
-    """Connected components of the category, as sorted object-id classes."""
+def _components(c: FinCat) -> list[list[int]]:
     uf = UnionFind(len(c.objects))
     for f in range(len(c.morphisms)):
         uf.union(c.src[f], c.tgt[f])
+    return uf.groups()
+
+
+def pi0(c: FinCat) -> list[list[str]]:
+    """Connected components of the category, as sorted object-id classes."""
     return sorted(
-        sorted(c.objects[i] for i in group) for group in uf.groups()
+        sorted(c.objects[i] for i in group) for group in _components(c)
     )
 
 
 def component_objects(c: FinCat, basepoint: str) -> set[int]:
     base = c.object_index(basepoint)
-    uf = UnionFind(len(c.objects))
-    for f in range(len(c.morphisms)):
-        uf.union(c.src[f], c.tgt[f])
-    root = uf.find(base)
-    return {x for x in range(len(c.objects)) if uf.find(x) == root}
+    return next(set(group) for group in _components(c) if base in group)
 
 
 def fundamental_group(c: FinCat, basepoint: str) -> GroupPresentation:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cobcat import cob1, cob2, fincat
+from cobcat import cob1, cob2, fincat, nerve
 from cobcat.cli import RunReport, dispatch, main
 
 
@@ -96,6 +96,26 @@ class TestCat:
         report = dispatch(("cat", "pi1", "--base", "zzz", files["parallel"]))
         assert report.exit_code == 1
 
+    def test_deeply_nested_input_is_domain_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["cat", "validate", str(path)]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert "nested too deeply" in payload["error"]
+
+    def test_failed_self_check_is_internal_error(self, files, monkeypatch):
+        real = nerve._boundary_matrix
+
+        def broken(c, lower, upper, p):
+            # Every entry of d_1 set to 1, so d_1 . d_2 != 0.
+            m = real(c, lower, upper, p)
+            return m if p != 1 else type(m)(m.rows, m.cols, [1] * (m.rows * m.cols))
+
+        monkeypatch.setattr(nerve, "_boundary_matrix", broken)
+        report = dispatch(("cat", "homology", "--cap", "3", files["cyclic3"]))
+        assert report.exit_code == 3
+        assert report.error.startswith("internal error: AssertionError")
+
 
 class TestLocalize:
     def test_aut_cyclic(self, files):
@@ -134,6 +154,22 @@ class TestCob1:
 
     def test_reduce(self, files):
         assert ok("cob1", "reduce", files["nested"]) == 0
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"m": 2.7, "slices": [["cup", 0.9], ["cap", 0]]},
+            {"m": True, "slices": [["cup", 0]]},
+            {"m": "0", "slices": [["cup", 0]]},
+            {"m": 0, "slices": [["cup", 0.0]]},
+            {"m": 0, "slices": [["cup"]]},
+            {"m": 0, "n": 2.0, "slices": [["cup", 0]]},
+        ],
+    )
+    def test_non_integer_input_refused(self, tmp_path, doc):
+        report = dispatch(("cob1", "f", write(tmp_path, "bad.json", doc)))
+        assert report.exit_code == 1
+        assert set(report.payload()) == {"command", "error"}
 
 
 class TestCob2:
@@ -276,6 +312,32 @@ class TestReportShape:
         assert "elapsed" not in first.out
         payload = json.loads(first.out)
         assert list(payload) == sorted(payload)
+
+    @pytest.mark.parametrize(
+        "argv, stdout",
+        [
+            (
+                ["localize", "surfaces", "--max-chi", "4"],
+                '{"command": ["localize", "surfaces", "--max-chi", "4"], "result": '
+                '{"classes": {"K": 0, "N3": -1, "N4": -2, "N5": -3, "N6": -4, '
+                '"RP2": 1, "S2": 2, "Sigma2": -2, "Sigma3": -4, "T2": 0}, '
+                '"group": "Z"}}\n',
+            ),
+            (
+                ["picard", "cob1", "--max-points", "8"],
+                '{"command": ["picard", "cob1", "--max-points", "8"], "result": '
+                '{"derivation": ["swap absorption: compose(cup, swap) == cup is '
+                'True (a single arc either way)", "transport along the cup: '
+                'cap.swap.cup and cap.cup close to 1 and 1 circles, so k = 0 * '
+                '[circle] = [0]", "cross-check: antisymmetry forces 2k = 0 and Z '
+                'is torsion-free, so k = 0"], "k": [0], "pi0": {"rank": 0, '
+                '"torsion": [2]}, "pi1": {"rank": 1, "torsion": []}}}\n',
+            ),
+        ],
+    )
+    def test_main_golden_stdout(self, argv, stdout, capsys):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == stdout
 
     def test_main_exit_codes(self, files, capsys):
         assert main(["cob1", "f", files["circle"]]) == 0

@@ -90,6 +90,14 @@ class TestMatchingValidation:
         w = matching(2, 4, [(0, 3), (1, 5), (2, 4)], circles=2)
         assert matching_from_json(w.to_json()) == w
 
+    @pytest.mark.parametrize(
+        "field, value", [("m", 2.0), ("n", True), ("circles", "1"), ("pairs", [[0, 1.0]])]
+    )
+    def test_json_refuses_non_integers(self, field, value):
+        data = {"m": 1, "n": 1, "pairs": [[0, 1]], "circles": 0, field: value}
+        with pytest.raises(ValueError):
+            matching_from_json(data)
+
 
 class TestComposeAbstract:
     def test_cap_after_cup_closes_circle(self):

@@ -460,6 +460,18 @@ class TestJson:
             w, _ = random_composable_pair(rng)
             assert surface_from_json(surface_to_json(w)) == w
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"orientable": True, "genus": 1.0, "in": ["c"]},
+            {"orientable": False, "crosscaps": True, "in": ["c"]},
+            {"orientable": True, "genus": 0, "in": ["c"], "eps": {"c": "1"}},
+        ],
+    )
+    def test_json_refuses_non_integers(self, entry):
+        with pytest.raises(ValueError):
+            surface_from_json({"src": ["c"], "tgt": [], "components": [entry]})
+
     def test_identity_cylinder_uses_qualified_keys(self):
         data = surface_to_json(identity_surface(("c",)))
         assert data["components"][0]["eps"] == {"in:c": 1, "out:c": -1}

@@ -11,15 +11,18 @@ from cobcat.exactmath import (
     UnionFind,
     abelianize,
     cyclic_reduce,
-    determinant,
     free_reduce,
     inverse_word,
-    matrix_rank,
     quotient_group,
     reduce_lattice_rows,
     simplify_presentation,
     smith_normal_form,
 )
+from cobcat.monoidal import QQ, mat_det
+
+
+def determinant(m):
+    return mat_det(QQ, m.to_rows())
 
 
 def diagonal_matrix(diag, rows, cols):
@@ -237,11 +240,17 @@ class TestUnionFind:
         assert not uf.union(1, 0)
         assert uf.groups() == [[0, 1], [2], [3]]
 
-    def test_growable(self):
-        uf = UnionFind()
-        a, b = uf.make_set(), uf.make_set()
-        uf.union(a, b)
-        assert uf.find(a) == uf.find(b)
+    def test_parity(self):
+        uf = UnionFind(4)
+        assert uf.union(0, 1, parity=1)
+        assert uf.union(1, 2, parity=1)
+        assert uf.find(0)[1] == uf.find(2)[1] != uf.find(1)[1]
+        assert not uf.union(0, 2)
+        assert not uf.odd[uf.find(0)[0]]
+        uf.union(0, 2, parity=1)  # an odd cycle
+        assert uf.odd[uf.find(1)[0]]
+        uf.union(2, 3)
+        assert uf.odd[uf.find(3)[0]]
 
 
 class TestLatticeReduction:

@@ -1,8 +1,10 @@
+import itertools
+
 import pytest
 
 from cobcat.cob1 import CAP, CUP, PlanarDiagram, compose_planar, f_invariant, to_matching
 from cobcat.cob2 import RP2, S2, T2, chi_of_class, class_name, component, surface
-from cobcat.exactmath import AbelianInvariants, abelianize
+from cobcat.exactmath import AbelianInvariants, abelianize, quotient_group
 from cobcat.fincat import (
     Functor,
     cyclic_group_category,
@@ -28,8 +30,18 @@ from cobcat.localize import (
     tree_nodes,
     tree_signed_count,
     word_class,
+    _pieces,
 )
 from cobcat.nerve import fundamental_group, pi0
+
+
+def full_lattice_classes(rows, width, positive):
+    """Group and generator classes of Z^width modulo rows, for a group
+    that must be Z, signed so that generator ``positive`` is positive."""
+    invariants, classes = quotient_group(rows, width)
+    assert invariants == AbelianInvariants(1, ())
+    sign = -1 if classes[positive][0][0] < 0 else 1
+    return tuple(tuple((sign * v, mod) for v, mod in vec) for vec in classes)
 
 
 def one_circle_cap(orientable, genus):
@@ -243,6 +255,27 @@ class TestSurfaceLocalizationGroup:
         with pytest.raises(ValueError):
             surface_localization_group(-1)
 
+    def test_reference_rows_span_every_commuting_square(self):
+        # Oracle: every instance w1, w2 / w3, w4 over one and two circles,
+        # each row built by surface_relator_vector, against the engine that
+        # pits each piece against the all-discs reference only.  Bound 1
+        # has 130,577 instances, a hundred times as many as bound 0.
+        bound = 0
+        basis = connected_generators(bound)
+        index = {cls: i for i, cls in enumerate(basis)}
+        rows = []
+        for circles in (("y0",), ("y0", "y1")):
+            caps = _pieces(circles, -bound, as_cap=True)
+            cups = _pieces(circles, -bound, as_cap=False)
+            for w1, w2, w3, w4 in itertools.product(caps, caps, cups, cups):
+                inst = SurfaceRelationInstance(w1, w2, w3, w4)
+                row = surface_relator_vector(inst, index)
+                if row is not None:
+                    rows.append(row)
+        engine = surface_localization_group(bound)
+        assert engine.basis == basis
+        assert engine.classes == full_lattice_classes(rows, len(basis), index[S2])
+
 
 class TestPlanarModel:
     def test_crossingless_counts_are_catalan(self):
@@ -341,3 +374,24 @@ class TestPlanarModel:
     def test_rejects_odd_point_count(self):
         with pytest.raises(ValueError):
             planar_localization_data(7)
+
+    def test_reference_rows_span_every_commuting_square(self):
+        # Oracle: the relator a - b - c + d of every cap pair w1, w2 and cup
+        # pair w3, w4 of matchings on up to 6 points.
+        data = planar_localization_data(6)
+        index = {tree: i for i, tree in enumerate(data.basis)}
+
+        def vec(cup, cap):
+            row = [0] * len(index)
+            for tree in closed_diagram_forest(cup, cap):
+                row[index[tree]] += 1
+            return row
+
+        rows = []
+        for m in (2, 4, 6):
+            matchings = crossingless_matchings(m)
+            for w1, w2, w3, w4 in itertools.product(matchings, repeat=4):
+                a, b, c, d = vec(w3, w1), vec(w3, w2), vec(w4, w1), vec(w4, w2)
+                rows.append([av - bv - cv + dv for av, bv, cv, dv in zip(a, b, c, d)])
+        assert data.pi1 == AbelianInvariants(1, ())
+        assert data.tree_classes == full_lattice_classes(rows, len(index), index[()])

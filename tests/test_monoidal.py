@@ -91,6 +91,25 @@ class TestFields:
         with pytest.raises(ValueError):
             PrimeField(1)
 
+    def test_primality_matches_trial_division(self):
+        for p in range(-3, 5000):
+            prime = p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
+            if prime:
+                PrimeField(p)
+            else:
+                with pytest.raises(ValueError):
+                    PrimeField(p)
+        # Strong pseudoprimes to the first 4, 5, 6 and 9 prime bases.
+        for n in (3215031751, 2152302898747, 3474749660383, 3825123056546413051):
+            with pytest.raises(ValueError):
+                PrimeField(n)
+
+    def test_large_prime_field(self):
+        big = field_from_spec("F100000000000000000039")
+        assert big.inv(2) * 2 % big.p == 1
+        with pytest.raises(ResourceLimitExceeded):
+            PrimeField(318665857834031151167461)
+
     def test_field_from_spec(self):
         assert field_from_spec("Q") is QQ
         assert field_from_spec("F7") == PrimeField(7)
@@ -257,6 +276,19 @@ class TestPicardData:
     def test_json_round_trip(self):
         p = graded_lines_picard(5)
         assert picard_from_json(picard_to_json(p)) == p
+
+    @pytest.mark.parametrize(
+        "pi0, c",
+        [
+            ({"rank": True, "torsion": []}, [[[0]]]),
+            ({"rank": 0, "torsion": [2.0]}, [[[0]]]),
+            ({"rank": 0, "torsion": [2]}, [[[1.5]]]),
+        ],
+    )
+    def test_json_refuses_non_integers(self, pi0, c):
+        data = {"pi0": pi0, "pi1": {"rank": 0, "torsion": [4]}, "c": c, "h": []}
+        with pytest.raises(ValueError):
+            picard_from_json(data)
 
 
 class TestKInvariant:
