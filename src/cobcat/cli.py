@@ -11,6 +11,7 @@ program's own self-checks fails (an internal error).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -40,6 +41,7 @@ class RunReport:
         return doc
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="cobcat",
@@ -238,9 +240,8 @@ def _run_frob(args) -> object:
             "reason": ext.reason,
         }
     w = cob1.matching_from_json(_load(args.morphism))
-    r = cob1.restricted_from_matching(w)
-    if r is not None:
-        mat = monoidal.evaluate_restricted(theory, r)
+    if cob1.restricted_from_matching(w) is not None:
+        mat = monoidal.evaluate_restricted(theory, w)
     else:
         ext = monoidal.extend_to_full(theory)
         if not ext.extends:

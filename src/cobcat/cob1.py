@@ -603,83 +603,12 @@ def random_planar_word(rng, m: int, length: int) -> PlanarDiagram:
     return PlanarDiagram(m, tuple(slices))
 
 
-@dataclass(frozen=True)
-class RestrictedMorphism:
-    """1-cobordism in which every component touches the outgoing boundary.
+def restricted_from_matching(w: Matching1D) -> Matching1D | None:
+    """``w`` itself when it has no caps and no circles; None otherwise.
 
-    Equivalently: an injection of the incoming points into the outgoing
-    points (through-strands) plus a perfect matching on the complement of
-    the image (cups).  No caps and no circles can occur, so composition
-    never leaves the class.
+    Such a matching is one in which every component touches the outgoing
+    boundary; ``compose_abstract`` never leaves that class.
     """
-
-    m: int
-    n: int
-    injection: tuple[int, ...]
-    pairs: tuple[Pair, ...]
-
-    def __post_init__(self):
-        if self.m < 0 or self.n < 0:
-            raise ValueError("sizes must be nonnegative")
-        if len(self.injection) != self.m:
-            raise ValueError("injection must list an image for every incoming point")
-        if len(set(self.injection)) != self.m:
-            raise ValueError("injection must be injective")
-        for v in self.injection:
-            if not 0 <= v < self.n:
-                raise ValueError(f"image point {v} out of range")
-        if self.pairs != _canonical_pairs(self.pairs):
-            raise ValueError("pairs must be sorted with each pair ascending")
-        complement = set(range(self.n)) - set(self.injection)
-        seen: set[int] = set()
-        for a, b in self.pairs:
-            for x in (a, b):
-                if x not in complement:
-                    raise ValueError(f"point {x} is not in the complement")
-                if x in seen:
-                    raise ValueError(f"point {x} matched twice")
-                seen.add(x)
-        if seen != complement:
-            raise ValueError("pairs must cover the complement of the image")
-
-
-def restricted(m: int, n: int, injection, pairs) -> RestrictedMorphism:
-    return RestrictedMorphism(m, n, tuple(injection), _canonical_pairs(pairs))
-
-
-def identity_restricted(n: int) -> RestrictedMorphism:
-    return restricted(n, n, range(n), [])
-
-
-def compose_restricted(
-    r: RestrictedMorphism, r2: RestrictedMorphism
-) -> RestrictedMorphism:
-    """Composites of through-strands thread on; cups push forward injectively."""
-    if r.n != r2.m:
-        raise ValueError(f"interface mismatch: {r.n} outgoing vs {r2.m} incoming")
-    injection = [r2.injection[v] for v in r.injection]
-    pairs = [(r2.injection[a], r2.injection[b]) for a, b in r.pairs]
-    pairs += list(r2.pairs)
-    return restricted(r.m, r2.n, injection, pairs)
-
-
-def restricted_to_matching(r: RestrictedMorphism) -> Matching1D:
-    pairs = [(i, r.m + v) for i, v in enumerate(r.injection)]
-    pairs += [(r.m + a, r.m + b) for a, b in r.pairs]
-    return matching(r.m, r.n, pairs)
-
-
-def restricted_from_matching(w: Matching1D) -> RestrictedMorphism | None:
-    """Recognize a matching with no caps and no circles; None otherwise."""
-    if w.circles:
+    if w.circles or any(b < w.m for _, b in w.pairs):
         return None
-    injection = [0] * w.m
-    pairs = []
-    for a, b in w.pairs:
-        if b < w.m:
-            return None
-        if a < w.m:
-            injection[a] = b - w.m
-        else:
-            pairs.append((a - w.m, b - w.m))
-    return restricted(w.m, w.n, injection, pairs)
+    return w

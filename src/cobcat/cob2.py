@@ -508,7 +508,9 @@ def surface_to_json(w: SurfaceCobordism) -> dict:
 def surface_from_json(data: dict) -> SurfaceCobordism:
     comps = []
     for entry in data["components"]:
-        orientable = bool(entry["orientable"])
+        orientable = entry["orientable"]
+        if not isinstance(orientable, bool):
+            raise ValueError(f"orientable must be true or false, got {orientable!r}")
         genus = strict_int(entry["genus"] if orientable else entry["crosscaps"])
         comps.append(
             component(

@@ -267,10 +267,6 @@ class AbelianInvariants:
     def is_trivial(self) -> bool:
         return self.rank == 0 and not self.torsion
 
-    @property
-    def is_free(self) -> bool:
-        return not self.torsion
-
     def describe(self) -> str:
         parts = []
         if self.rank == 1:

@@ -68,12 +68,6 @@ class FinCat:
     def is_identity(self, f: int) -> bool:
         return self.identity[self.src[f]] == f
 
-    def composable_pairs(self) -> Iterable[tuple[int, int]]:
-        for f in range(len(self.morphisms)):
-            for g in range(len(self.morphisms)):
-                if self.tgt[f] == self.src[g]:
-                    yield (f, g)
-
     def hom(self, x: int, y: int) -> list[int]:
         return [
             f

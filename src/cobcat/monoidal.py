@@ -22,7 +22,6 @@ from fractions import Fraction
 
 from .cob1 import (
     Matching1D,
-    RestrictedMorphism,
     cap_matching,
     compose_abstract,
     cup_matching,
@@ -109,7 +108,10 @@ class RationalField:
             return value
         if isinstance(value, bool) or not isinstance(value, (int, str)):
             raise ValueError(f"cannot read rational from {value!r}")
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"{value!r} has denominator 0") from None
 
     def to_json(self, a):
         if a.denominator == 1:
@@ -170,7 +172,9 @@ class PrimeField:
         if isinstance(value, int):
             return value % self.p
         if isinstance(value, str):
-            frac = Fraction(value)
+            frac = QQ.parse(value)
+            if frac.denominator % self.p == 0:
+                raise ValueError(f"{value!r} has a denominator divisible by {self.p}")
             return self.mul(frac.numerator % self.p, self.inv(frac.denominator))
         raise ValueError(f"cannot read field element from {value!r}")
 
@@ -316,15 +320,6 @@ class AbGroup:
     """
 
     invariants: AbelianInvariants
-
-    def __post_init__(self):
-        torsion = self.invariants.torsion
-        for d in torsion:
-            if d < 2:
-                raise ValueError("invariant factors must be at least 2")
-        for a, b in zip(torsion, torsion[1:]):
-            if b % a:
-                raise ValueError("invariant factors must form a divisibility chain")
 
     @property
     def rank(self) -> int:
@@ -817,31 +812,66 @@ def frobenius_to_json(t: FrobeniusDatum) -> dict:
     }
 
 
-def _pack(indices, dim: int) -> int:
-    out = 0
-    for v in indices:
-        out = out * dim + v
-    return out
+def _leg_terms(fld, d: int, mat, pairs, width: int, start) -> list:
+    """Non-zero terms ``(packed offset, value)`` of ``start`` times ``mat``
+    placed on each pair of legs; leg i of ``width`` weighs d^(width-1-i)."""
+    terms = [(0, start)] if start != fld.zero() else []
+    if pairs:
+        nonzero = [
+            (i, j, v) for i, row in enumerate(mat) for j, v in enumerate(row)
+            if v != fld.zero()
+        ]
+        for x, y in pairs:
+            wx, wy = d ** (width - 1 - x), d ** (width - 1 - y)
+            terms = [
+                (off + i * wx + j * wy, fld.mul(val, v))
+                for off, val in terms
+                for i, j, v in nonzero
+            ]
+    return terms
 
 
-def evaluate_restricted(theory: FrobeniusDatum, r: RestrictedMorphism) -> tuple[tuple, ...]:
-    """Matrix of a cap-free cobordism: X^(tensor m) -> X^(tensor n).
+def _contract(theory: FrobeniusDatum, w: Matching1D, cap=None, circle=None) -> tuple[tuple, ...]:
+    """Matrix of w: X^(tensor m) -> X^(tensor n), with caps inserting ``cap``.
 
     Rows are indexed by outgoing leg values packed most significant first,
-    columns by incoming values.  Through-strands copy indices, cup pairs
-    insert the pairing; with no caps each row meets exactly one column.
+    columns by incoming values.  The matrix factors into ``circle`` to the
+    power of the circle count, a covector of the caps on the incoming legs
+    and a vector of the cups on the outgoing legs; through-strands copy an
+    index from the column to the row.  Only non-zero terms are visited, and
+    each (row, column) receives at most one.
     """
-    fld, d, b = theory.field, theory.dim, theory.pairing
-    rows, cols = d**r.n, d**r.m
-    out = [[fld.zero()] * cols for _ in range(rows)]
-    for legs in itertools.product(range(d), repeat=r.n):
-        factor = fld.one()
-        for a, bb in r.pairs:
-            factor = fld.mul(factor, b[legs[a]][legs[bb]])
-        incoming = tuple(legs[v] for v in r.injection)
-        row, col = _pack(legs, d), _pack(incoming, d)
-        out[row][col] = fld.add(out[row][col], factor)
+    fld, d, m, n = theory.field, theory.dim, w.m, w.n
+    caps = [(x, y) for x, y in w.pairs if y < m]
+    if cap is None and (caps or w.circles):
+        raise ValueError("a matching with caps or circles needs the inverse pairing")
+    scalar = fld.one()
+    for _ in range(w.circles):
+        scalar = fld.mul(scalar, circle)
+    cups = [(x - m, y - m) for x, y in w.pairs if x >= m]
+    col_terms = _leg_terms(fld, d, cap, caps, m, scalar)
+    row_terms = _leg_terms(fld, d, theory.pairing, cups, n, fld.one())
+    routes = [(0, 0)]
+    for x, y in w.pairs:
+        if x < m <= y:
+            wx, wy = d ** (m - 1 - x), d ** (m + n - 1 - y)
+            routes = [(c + v * wx, r + v * wy) for c, r in routes for v in range(d)]
+    out = [[fld.zero()] * d**m for _ in range(d**n)]
+    for c0, r0 in routes:
+        for c1, a in col_terms:
+            for r1, b in row_terms:
+                out[r0 + r1][c0 + c1] = fld.mul(a, b)
     return tuple(tuple(row) for row in out)
+
+
+def evaluate_restricted(theory: FrobeniusDatum, w: Matching1D) -> tuple[tuple, ...]:
+    """Matrix of a matching with no caps and no circles, for any pairing.
+
+    Cup pairs insert the pairing, degenerate or not; a cap or a circle is
+    refused with ValueError, since only a nondegenerate pairing evaluates
+    those (see ``extend_to_full``).
+    """
+    return _contract(theory, w)
 
 
 @dataclass(frozen=True)
@@ -861,30 +891,7 @@ class FullEvaluator:
         return out
 
     def evaluate(self, w: Matching1D) -> tuple[tuple, ...]:
-        fld, d, b = self.theory.field, self.theory.dim, self.theory.pairing
-        caps = [(x, y) for x, y in w.pairs if y < w.m]
-        throughs = [(x, y - w.m) for x, y in w.pairs if x < w.m <= y]
-        cups = [(x - w.m, y - w.m) for x, y in w.pairs if x >= w.m]
-        circ = fld.one()
-        for _ in range(w.circles):
-            circ = fld.mul(circ, self.circle_value())
-        out = [[fld.zero()] * d**w.m for _ in range(d**w.n)]
-        for incoming in itertools.product(range(d), repeat=w.m):
-            base = circ
-            for x, y in caps:
-                base = fld.mul(base, self.cap_matrix[incoming[x]][incoming[y]])
-            col = _pack(incoming, d)
-            legs = [0] * w.n
-            for x, y in throughs:
-                legs[y] = incoming[x]
-            for values in itertools.product(range(d), repeat=2 * len(cups)):
-                factor = base
-                for k, (x, y) in enumerate(cups):
-                    legs[x], legs[y] = values[2 * k], values[2 * k + 1]
-                    factor = fld.mul(factor, b[legs[x]][legs[y]])
-                row = _pack(legs, d)
-                out[row][col] = fld.add(out[row][col], factor)
-        return tuple(tuple(row) for row in out)
+        return _contract(self.theory, w, self.cap_matrix, self.circle_value())
 
 
 @dataclass(frozen=True)

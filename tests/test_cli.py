@@ -200,6 +200,14 @@ class TestCob2:
         report = dispatch(("cob2", "class", files["disc"]))
         assert report.exit_code == 1
 
+    @pytest.mark.parametrize("flag", ["no", "", 1, 0, None])
+    def test_orientable_must_be_boolean(self, tmp_path, flag):
+        entry = {"orientable": flag, "genus": 1, "crosscaps": 1}
+        doc = {"src": [], "tgt": [], "components": [entry]}
+        report = dispatch(("cob2", "class", write(tmp_path, "s.json", doc)))
+        assert report.exit_code == 1
+        assert set(report.payload()) == {"command", "error"}
+
     def test_kcheck(self, files):
         assert ok("cob2", "kcheck", "--k", "0", files["disc"]) == {
             "k": 0,
@@ -257,6 +265,19 @@ class TestFrob:
         result = ok("frob", "extend", files["degenerate"])
         assert result["extends"] is False
         assert result["circle"] is None
+
+    @pytest.mark.parametrize(
+        "theory",
+        [
+            {"field": "Q", "pairing": [["1/0"]]},
+            {"field": "F7", "pairing": [["1/7"]]},
+            {"field": "F7", "pairing": [["3/14"]]},
+        ],
+    )
+    def test_zero_denominator_refused(self, tmp_path, theory):
+        report = dispatch(("frob", "extend", write(tmp_path, "t.json", theory)))
+        assert report.exit_code == 1
+        assert set(report.payload()) == {"command", "error"}
 
     def test_eval_cup(self, files):
         result = ok("frob", "eval", files["theory"], files["cup"])

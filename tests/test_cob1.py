@@ -15,7 +15,6 @@ from cobcat.cob1 import (
     commute_events,
     compose_abstract,
     compose_planar,
-    compose_restricted,
     cup_matching,
     diagram_from_json,
     enumerate_words,
@@ -25,7 +24,6 @@ from cobcat.cob1 import (
     f_invariant_grid,
     functor_to_D,
     identity_matching,
-    identity_restricted,
     insert_zigzag,
     matching,
     matching_from_json,
@@ -35,9 +33,7 @@ from cobcat.cob1 import (
     planar_nested_pair,
     random_planar_word,
     reduce_endomorphism,
-    restricted,
     restricted_from_matching,
-    restricted_to_matching,
     tensor_matching,
     to_matching,
 )
@@ -51,14 +47,36 @@ def random_matching(rng, m, n, max_circles=3):
 
 
 def random_restricted(rng, m, extra_cups):
+    """A random cap-free, circle-free matching from m to m + 2 * extra_cups."""
     n = m + 2 * extra_cups
     injection = rng.sample(range(n), m)
     complement = [v for v in range(n) if v not in injection]
     rng.shuffle(complement)
-    pairs = [
-        (complement[2 * i], complement[2 * i + 1]) for i in range(extra_cups)
+    pairs = [(i, m + v) for i, v in enumerate(injection)]
+    pairs += [
+        (m + complement[2 * i], m + complement[2 * i + 1]) for i in range(extra_cups)
     ]
-    return restricted(m, n, injection, pairs)
+    return matching(m, n, pairs)
+
+
+def compose_by_injection(w, w2):
+    """Compose cap-free matchings the second way: through-strands thread on
+    and cups push forward along w2's through-strands."""
+    image = {}
+    cups = []
+    for a, b in w2.pairs:
+        if a < w2.m:
+            image[a] = b - w2.m
+        else:
+            cups.append((a - w2.m, b - w2.m))
+    pairs = []
+    for a, b in w.pairs:
+        if a < w.m:
+            pairs.append((a, w.m + image[b - w.m]))
+        else:
+            pairs.append((w.m + image[a - w.m], w.m + image[b - w.m]))
+    pairs += [(w.m + a, w.m + b) for a, b in cups]
+    return matching(w.m, w2.n, pairs)
 
 
 class TestMatchingValidation:
@@ -446,46 +464,51 @@ class TestMoves:
 
 
 class TestRestricted:
+    """Cap-free, circle-free matchings: every component reaches the outgoing
+    boundary."""
+
     def test_validation(self):
+        # A through-strand image used twice, out of range, or a cup pair
+        # leaving an outgoing point uncovered is not a matching at all.
         with pytest.raises(ValueError):
-            restricted(2, 2, (0, 0), [])
+            matching(2, 2, [(0, 2), (1, 2)])
         with pytest.raises(ValueError):
-            restricted(1, 1, (3,), [])
+            matching(1, 1, [(0, 4)])
         with pytest.raises(ValueError):
-            restricted(1, 3, (0,), [])
+            matching(1, 3, [(0, 1)])
         with pytest.raises(ValueError):
-            restricted(1, 3, (0,), [(0, 1)])
+            matching(1, 3, [(0, 1), (1, 2)])
 
     def test_identity_and_composition(self):
-        r = restricted(1, 3, (1,), [(0, 2)])
-        assert compose_restricted(identity_restricted(1), r) == r
-        assert compose_restricted(r, identity_restricted(3)) == r
+        w = matching(1, 3, [(0, 2), (1, 3)])
+        assert restricted_from_matching(w) is w
+        assert compose_abstract(identity_matching(1), w) == w
+        assert compose_abstract(w, identity_matching(3)) == w
 
     def test_two_route_composition_agrees(self):
         rng = random.Random(18)
         for _ in range(100):
             m = rng.randint(0, 3)
-            r1 = random_restricted(rng, m, rng.randint(0, 2))
-            r2 = random_restricted(rng, r1.n, rng.randint(0, 2))
-            direct = restricted_to_matching(compose_restricted(r1, r2))
-            spliced = compose_abstract(
-                restricted_to_matching(r1), restricted_to_matching(r2)
-            )
-            assert direct == spliced
-            assert spliced.circles == 0
+            w1 = random_restricted(rng, m, rng.randint(0, 2))
+            w2 = random_restricted(rng, w1.n, rng.randint(0, 2))
+            spliced = compose_abstract(w1, w2)
+            assert spliced == compose_by_injection(w1, w2)
+            assert restricted_from_matching(spliced) is spliced
 
     def test_round_trip_through_matching(self):
         rng = random.Random(19)
         for _ in range(60):
-            r = random_restricted(rng, rng.randint(0, 4), rng.randint(0, 3))
-            assert restricted_from_matching(restricted_to_matching(r)) == r
+            w = random_restricted(rng, rng.randint(0, 4), rng.randint(0, 3))
+            assert restricted_from_matching(w) is w
+            assert matching_from_json(w.to_json()) == w
+            assert restricted_from_matching(tensor_matching(w, cap_matching())) is None
 
     def test_recognizer_rejects_caps_and_circles(self):
         assert restricted_from_matching(cap_matching()) is None
         assert restricted_from_matching(matching(0, 0, [], circles=1)) is None
-        assert restricted_from_matching(cup_matching()) == restricted(
-            0, 2, (), [(0, 1)]
-        )
+        assert restricted_from_matching(matching(1, 1, [(0, 1)], circles=1)) is None
+        cup = cup_matching()
+        assert restricted_from_matching(cup) is cup
 
 
 @settings(max_examples=30)

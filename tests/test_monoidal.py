@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,12 +8,9 @@ from hypothesis import strategies as st
 from cobcat.cob1 import (
     cap_matching,
     compose_abstract,
-    compose_restricted,
     cup_matching,
     identity_matching,
-    identity_restricted,
     matching,
-    restricted,
     tensor_matching,
 )
 from cobcat.exactmath import AbelianInvariants
@@ -418,11 +416,11 @@ class TestFrobeniusDatum:
 class TestEvaluateRestricted:
     def test_identity(self):
         t = frobenius(QQ, [[1, 0], [0, 1]])
-        assert evaluate_restricted(t, identity_restricted(2)) == mat_identity(QQ, 4)
+        assert evaluate_restricted(t, identity_matching(2)) == mat_identity(QQ, 4)
 
     def test_cup_is_the_pairing_vector(self):
         t = frobenius(QQ, [[1, 2], [2, 5]])
-        vec = evaluate_restricted(t, restricted(0, 2, [], [(0, 1)]))
+        vec = evaluate_restricted(t, cup_matching())
         flat = [row[0] for row in vec]
         assert flat == [QQ.parse(v) for v in (1, 2, 2, 5)]
 
@@ -433,33 +431,45 @@ class TestEvaluateRestricted:
             m = rng.randrange(3)
             mid = m + 2 * rng.randrange(2)
             n = mid + 2 * rng.randrange(2)
-            r1 = random_restricted(rng, m, mid)
-            r2 = random_restricted(rng, mid, n)
-            lhs = evaluate_restricted(t, compose_restricted(r1, r2))
-            rhs = mat_mul(F5, evaluate_restricted(t, r2), evaluate_restricted(t, r1))
+            w1 = random_restricted(rng, m, mid)
+            w2 = random_restricted(rng, mid, n)
+            lhs = evaluate_restricted(t, compose_abstract(w1, w2))
+            rhs = mat_mul(F5, evaluate_restricted(t, w2), evaluate_restricted(t, w1))
             assert lhs == rhs
 
     def test_monoidal(self):
         t = frobenius(F3, [[1, 1], [1, 2]])
-        r1 = restricted(1, 1, [0], [])
-        r2 = restricted(0, 2, [], [(0, 1)])
-        lhs = evaluate_restricted(t, tensor_restricted(r1, r2))
-        rhs = mat_kron(F3, evaluate_restricted(t, r1), evaluate_restricted(t, r2))
+        w1 = identity_matching(1)
+        w2 = cup_matching()
+        lhs = evaluate_restricted(t, tensor_matching(w1, w2))
+        rhs = mat_kron(F3, evaluate_restricted(t, w1), evaluate_restricted(t, w2))
         assert lhs == rhs
+
+    def test_degenerate_pairing(self):
+        t = frobenius(QQ, [[0, 0], [0, 0]])
+        assert not extend_to_full(t).extends
+        assert evaluate_restricted(t, cup_matching()) == ((0,),) * 4
+        assert evaluate_restricted(t, identity_matching(1)) == mat_identity(QQ, 2)
+
+    def test_refuses_caps_and_circles(self):
+        t = frobenius(QQ, [[1, 0], [0, 1]])
+        for w in (
+            cap_matching(),
+            matching(0, 0, [], circles=1),
+            matching(1, 1, [(0, 1)], circles=1),
+        ):
+            with pytest.raises(ValueError):
+                evaluate_restricted(t, w)
 
 
 def random_restricted(rng, m, n):
+    """A random matching from m to n points with no caps and no circles."""
     image = rng.sample(range(n), m)
     rest = [v for v in range(n) if v not in image]
     rng.shuffle(rest)
-    pairs = [(rest[2 * i], rest[2 * i + 1]) for i in range(len(rest) // 2)]
-    return restricted(m, n, image, pairs)
-
-
-def tensor_restricted(r1, r2):
-    injection = list(r1.injection) + [r1.n + v for v in r2.injection]
-    pairs = list(r1.pairs) + [(r1.n + a, r1.n + b) for a, b in r2.pairs]
-    return restricted(r1.m + r2.m, r1.n + r2.n, injection, pairs)
+    pairs = [(i, m + v) for i, v in enumerate(image)]
+    pairs += [(m + rest[2 * i], m + rest[2 * i + 1]) for i in range(len(rest) // 2)]
+    return matching(m, n, pairs)
 
 
 class TestExtension:
@@ -537,17 +547,77 @@ class TestExtension:
                 F3, ev.evaluate(u), ev.evaluate(v)
             )
 
-    def test_restricted_agrees_with_full(self):
-        rng = random.Random(47)
-        t = frobenius(F5, [[1, 2], [2, 0]])
-        ev = extend_to_full(t).evaluator
-        from cobcat.cob1 import restricted_to_matching
 
-        for _ in range(40):
-            m = rng.randrange(3)
-            n = m + 2 * rng.randrange(2)
-            r = random_restricted(rng, m, n)
-            assert evaluate_restricted(t, r) == ev.evaluate(restricted_to_matching(r))
+def perfect_matchings(points):
+    if not points:
+        yield []
+        return
+    for i in range(1, len(points)):
+        for rest in perfect_matchings(points[1:i] + points[i + 1 :]):
+            yield [(points[0], points[i])] + rest
+
+
+def small_matchings(max_points):
+    """Every matching with m + n <= max_points and 0 or 1 circles."""
+    for size in range(0, max_points + 1, 2):
+        for pairs in perfect_matchings(list(range(size))):
+            for m in range(size + 1):
+                for circles in (0, 1):
+                    yield matching(m, size - m, pairs, circles)
+
+
+def oracle_matrix(fld, pairing, cap, w):
+    """Each entry from the definition: dim^circles times, over the pairs,
+    the pairing on a cup, ``cap`` on a cap and the Kronecker delta on a
+    through-strand.  Rows and columns enumerate leg values in
+    ``itertools.product`` order."""
+    d = len(pairing)
+    scalar = fld.one()
+    for _ in range(w.circles):
+        scalar = fld.mul(scalar, fld.from_int(d))
+    rows = []
+    for outgoing in itertools.product(range(d), repeat=w.n):
+        row = []
+        for incoming in itertools.product(range(d), repeat=w.m):
+            legs = incoming + outgoing
+            value = scalar
+            for x, y in w.pairs:
+                if y < w.m:
+                    factor = cap[legs[x]][legs[y]]
+                elif x >= w.m:
+                    factor = pairing[legs[x]][legs[y]]
+                else:
+                    factor = fld.one() if legs[x] == legs[y] else fld.zero()
+                value = fld.mul(value, factor)
+            row.append(value)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+class TestEntryOracle:
+    THEORIES = (
+        (QQ, [[1, "1/2"], ["1/2", 3]]),
+        (QQ, [[2, 0, 1], [0, "-1/3", 0], [1, 0, 0]]),
+        (QQ, [[1, 1], [1, 1]]),
+        (F5, [[1, 2], [2, 0]]),
+        (PrimeField(7), [[0, 3, 1], [3, 2, 0], [1, 0, 5]]),
+        (PrimeField(2), [[1, 0], [0, 1]]),
+        (F3, [[0, 0], [0, 0]]),
+    )
+
+    def test_both_evaluators_match_the_definition(self):
+        for fld, rows in self.THEORIES:
+            t = frobenius(fld, rows)
+            ext = extend_to_full(t)
+            cap = ext.evaluator.cap_matrix if ext.extends else None
+            for w in small_matchings(6):
+                if not w.circles and all(y >= w.m for _, y in w.pairs):
+                    assert evaluate_restricted(t, w) == oracle_matrix(fld, t.pairing, None, w)
+                else:
+                    with pytest.raises(ValueError):
+                        evaluate_restricted(t, w)
+                if ext.extends:
+                    assert ext.evaluator.evaluate(w) == oracle_matrix(fld, t.pairing, cap, w)
 
 
 class TestInvertibility:
