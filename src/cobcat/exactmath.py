@@ -5,6 +5,8 @@ modular shortcuts.  Main entry points:
 
     smith_normal_form       diagonalize an integer matrix by unimodular row
                             and column operations, returning the transforms
+    smith_diagonal          invariant factors of a sparse matrix, by sparse
+                            unit-pivot elimination and no transforms
     AbelianInvariants       canonical form (free rank, invariant factors) of
                             a finitely generated abelian group
     GroupPresentation       relator words over named generators
@@ -21,8 +23,9 @@ AbelianInvariants(rank=0, torsion=(2,))
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 
 def strict_int(value: object) -> int:
@@ -159,36 +162,55 @@ def smith_normal_form(
     >>> smith_normal_form(IntMatrix.zeros(2, 2))[0]
     [0, 0]
     """
-    rows, cols = m.rows, m.cols
-    a = m.to_rows()
-    left = IntMatrix.identity(rows).to_rows()
-    right = IntMatrix.identity(cols).to_rows()
+    left = IntMatrix.identity(m.rows).to_rows()
+    right = IntMatrix.identity(m.cols).to_rows()
+    diag = _smith_loop(m.to_rows(), m.rows, m.cols, left, right)
+    return diag, IntMatrix.from_rows(left), IntMatrix.from_rows(right)
+
+
+def _smith_loop(
+    a: list[list[int]],
+    rows: int,
+    cols: int,
+    left: list[list[int]] | None = None,
+    right: list[list[int]] | None = None,
+) -> list[int]:
+    """Diagonalize the dense ``a`` in place and return its Smith diagonal.
+
+    ``left`` and ``right``, when given, receive the same row and column
+    operations as ``a``; pass ``None`` for a transform nobody reads.
+    """
 
     def row_swap(i: int, k: int) -> None:
         a[i], a[k] = a[k], a[i]
-        left[i], left[k] = left[k], left[i]
+        if left is not None:
+            left[i], left[k] = left[k], left[i]
 
     def row_sub(i: int, k: int, q: int) -> None:
         if q:
             a[i] = [x - q * y for x, y in zip(a[i], a[k])]
-            left[i] = [x - q * y for x, y in zip(left[i], left[k])]
+            if left is not None:
+                left[i] = [x - q * y for x, y in zip(left[i], left[k])]
 
     def row_negate(i: int) -> None:
         a[i] = [-x for x in a[i]]
-        left[i] = [-x for x in left[i]]
+        if left is not None:
+            left[i] = [-x for x in left[i]]
 
     def col_swap(j: int, k: int) -> None:
         for row in a:
             row[j], row[k] = row[k], row[j]
-        for row in right:
-            row[j], row[k] = row[k], row[j]
+        if right is not None:
+            for row in right:
+                row[j], row[k] = row[k], row[j]
 
     def col_sub(j: int, k: int, q: int) -> None:
         if q:
             for row in a:
                 row[j] -= q * row[k]
-            for row in right:
-                row[j] -= q * row[k]
+            if right is not None:
+                for row in right:
+                    row[j] -= q * row[k]
 
     t = 0
     while t < rows and t < cols:
@@ -233,8 +255,75 @@ def smith_normal_form(
             pos = (t, t)
         t += 1
 
-    diag = [a[k][k] for k in range(min(rows, cols))]
-    return diag, IntMatrix.from_rows(left), IntMatrix.from_rows(right)
+    return [a[k][k] for k in range(min(rows, cols))]
+
+
+def smith_diagonal(columns: Sequence[Mapping[int, int]], rows: int) -> list[int]:
+    """Non-zero Smith invariant factors of a sparse integer matrix, in
+    divisibility order; their count is the rank.
+
+    ``columns[j]`` maps row indices in ``0..rows-1`` to the non-zero entries
+    of column j.  A ±1 entry is eliminated sparsely, always on a shortest
+    row with a unit: clearing its row by column operations and its column
+    by row operations splits off a 1 without changing the other factors.
+    The block left when no row holds a unit has only entries of absolute
+    value 2 or more; it goes through the dense Smith loop, and no
+    transform is kept.  The input is not modified.
+
+    >>> smith_diagonal([{0: 2}, {1: 3}], 2)
+    [1, 6]
+    >>> smith_diagonal([{0: 1, 1: 1}, {0: 1, 1: -1}], 2)
+    [1, 2]
+    >>> smith_diagonal([{}, {}], 0)
+    []
+    """
+    cols = [{i: v for i, v in col.items() if v} for col in columns]
+    row_cols: list[set[int]] = [set() for _ in range(rows)]
+    for j, col in enumerate(cols):
+        for i in col:
+            row_cols[i].add(j)
+    heap = [(len(js), i) for i, js in enumerate(row_cols) if js]
+    heapq.heapify(heap)
+    units = 0
+    while heap:
+        length, r = heapq.heappop(heap)
+        pivot_row = row_cols[r]
+        if length != len(pivot_row):
+            continue  # stale entry; the row's current length is queued too
+        best = min(
+            ((len(cols[j]), j) for j in pivot_row if abs(cols[j][r]) == 1),
+            default=None,
+        )
+        if best is None:
+            continue  # no unit yet; requeued if an update changes the row
+        c = best[1]
+        pivot_col = cols[c]
+        u = pivot_col[r]
+        for j in pivot_row - {c}:
+            col = cols[j]
+            q = col[r] * u  # col[r] / u, as u is ±1
+            for i, v in pivot_col.items():
+                w = col.get(i, 0) - q * v
+                if w:
+                    col[i] = w
+                    row_cols[i].add(j)
+                else:
+                    del col[i]
+                    row_cols[i].discard(j)
+        # Row r is now u at column c only: drop both with a factor of 1.
+        # The rows of column c are the only ones that changed.
+        for i in pivot_col:
+            row_cols[i].discard(c)
+            if row_cols[i]:
+                heapq.heappush(heap, (len(row_cols[i]), i))
+        cols[c] = {}
+        units += 1
+
+    residual_rows = [i for i in range(rows) if row_cols[i]]
+    residual_cols = [col for col in cols if col]
+    a = [[col.get(i, 0) for col in residual_cols] for i in residual_rows]
+    diag = _smith_loop(a, len(residual_rows), len(residual_cols))
+    return [1] * units + [d for d in diag if d]
 
 
 @dataclass(frozen=True)
@@ -386,7 +475,12 @@ def abelianize(p: GroupPresentation) -> AbelianInvariants:
     >>> abelianize(GroupPresentation(("a", "b"), ((1, 2, -1, -2),))).describe()
     'Z^2'
     """
-    diag, _, _ = smith_normal_form(p.exponent_matrix())
+    # Each relator row is a column of the transpose, which has the same
+    # invariant factors.
+    columns = [
+        {j: v for j, v in enumerate(row) if v} for row in p.exponent_matrix().to_rows()
+    ]
+    diag = smith_diagonal(columns, len(p.generators))
     return AbelianInvariants.from_relation_diagonal(diag, len(p.generators))
 
 

@@ -2,8 +2,13 @@
 
 Cells in degree p are composable p-tuples of non-identity morphisms
 (the normalized chain complex: faces that compose to an identity are
-dropped).  Boundary matrices are exact integer matrices, and homology in
-each degree comes from Smith normal form, so torsion is computed exactly.
+dropped).  Each boundary is assembled as sparse columns, one
+``{row: coefficient}`` map of non-zeros per cell, and d∘d = 0 is checked
+column by column at a cost proportional to the non-zeros.  Homology in each
+degree comes from the exact Smith invariant factors of the boundaries
+(:func:`~cobcat.exactmath.smith_diagonal`): ±1 pivots are eliminated
+sparsely and only the small block left over goes through a dense Smith
+loop, so torsion is computed exactly.
 
 Degrees above ``cap - 1`` are not reported: computing H_p honestly needs the
 boundary out of degree p + 1, so a nerve built with ``cap = n`` yields
@@ -19,31 +24,56 @@ from .exactmath import (
     GroupPresentation,
     IntMatrix,
     UnionFind,
-    smith_normal_form,
+    smith_diagonal,
 )
 from .fincat import FinCat
-from .limits import ResourceLimitExceeded, max_cells_default
+from .limits import MAX_CELLS_ENV, ResourceLimitExceeded, max_cells_default
 
 DEFAULT_CAP = 3
+
+SparseColumns = tuple[dict[int, int], ...]
 
 
 @dataclass(frozen=True)
 class NerveComplex:
-    """Cells and integer boundary matrices of a truncated nerve.
+    """Cells and sparse integer boundaries of a truncated nerve.
 
     ``cells[0]`` lists object indices; ``cells[p]`` for p >= 1 lists tuples
     of morphism indices forming composable chains of non-identities.
-    ``boundaries[p]`` maps degree-p chains to degree-(p-1) chains; the
+    ``columns[p][j]`` maps the indices of the degree-(p-1) faces of cell
+    ``cells[p][j]`` to their non-zero coefficients in its boundary; the
     composite of consecutive boundaries is checked to be zero at build time.
     """
 
     category: FinCat
     cap: int
     cells: tuple[tuple, ...]
-    boundaries: tuple[IntMatrix, ...]
+    columns: tuple[SparseColumns, ...]
 
     def cell_counts(self) -> list[int]:
         return [len(layer) for layer in self.cells]
+
+    @property
+    def boundaries(self) -> tuple[IntMatrix, ...]:
+        """Dense boundary matrices; ``boundaries[p]`` maps degree-p chains
+        to degree-(p-1) chains (``boundaries[0]`` has no rows)."""
+        out = []
+        for p, columns in enumerate(self.columns):
+            rows = len(self.cells[p - 1]) if p else 0
+            width = len(columns)
+            data = [0] * (rows * width)
+            for j, col in enumerate(columns):
+                for i, v in col.items():
+                    data[i * width + j] = v
+            out.append(IntMatrix(rows, width, data))
+        return tuple(out)
+
+
+def _refuse(ceiling: int, count: int, p: int) -> ResourceLimitExceeded:
+    return ResourceLimitExceeded(
+        f"nerve would reach {count} cells at degree {p}, over the cell "
+        f"ceiling of {ceiling} (--max-cells / {MAX_CELLS_ENV})"
+    )
 
 
 def build_nerve(
@@ -52,7 +82,9 @@ def build_nerve(
     """Enumerate nerve cells up to degree ``cap`` and assemble boundaries.
 
     Raises :class:`ResourceLimitExceeded` if the total number of cells would
-    pass ``max_cells`` (default from COBCAT_MAX_CELLS or 10**6).
+    pass ``max_cells`` (default from COBCAT_MAX_CELLS or 10**6).  Each
+    layer's size is counted before the layer is built, so a refusal costs
+    no more than the layers below it.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
@@ -63,82 +95,76 @@ def build_nerve(
     cells: list[tuple] = [tuple(range(len(c.objects)))]
     total = len(cells[0])
     if total > ceiling:
-        raise ResourceLimitExceeded(
-            f"nerve would exceed {ceiling} cells at degree 0"
-        )
-    by_source: dict[int, list[int]] = {}
+        raise _refuse(ceiling, total, 0)
+    by_source: list[list[int]] = [[] for _ in c.objects]
     for f in non_identities:
-        by_source.setdefault(c.src[f], []).append(f)
+        by_source[c.src[f]].append(f)
     for p in range(1, cap + 1):
+        # Each chain of degree p - 1 with the non-identities it extends by;
+        # their count is checked against the ceiling before any is built.
         if p == 1:
-            layer = [(f,) for f in non_identities]
+            ends = [((), non_identities)]
         else:
-            layer = []
-            for chain in cells[p - 1]:
-                last_tgt = c.tgt[chain[-1]]
-                for g in by_source.get(last_tgt, ()):
-                    layer.append(chain + (g,))
-        total += len(layer)
+            ends = [(chain, by_source[c.tgt[chain[-1]]]) for chain in cells[p - 1]]
+        total += sum(len(out) for _, out in ends)
         if total > ceiling:
-            raise ResourceLimitExceeded(
-                f"nerve would exceed {ceiling} cells at degree {p}"
-            )
-        cells.append(tuple(layer))
+            raise _refuse(ceiling, total, p)
+        cells.append(tuple(chain + (g,) for chain, out in ends for g in out))
 
-    boundaries = [IntMatrix.zeros(0, len(cells[0]))]
+    columns = [tuple({} for _ in cells[0])]
     for p in range(1, cap + 1):
-        boundaries.append(_boundary_matrix(c, cells[p - 1], cells[p], p))
-    nerve = NerveComplex(c, cap, tuple(cells), tuple(boundaries))
+        columns.append(_boundary_matrix(c, cells[p - 1], cells[p], p))
+    nerve = NerveComplex(c, cap, tuple(cells), tuple(columns))
     _assert_chain_complex(nerve)
     return nerve
 
 
-def _boundary_matrix(c: FinCat, lower: tuple, upper: tuple, p: int) -> IntMatrix:
-    """Alternating face sum; degenerate faces vanish in the normalized complex."""
+def _boundary_matrix(c: FinCat, lower: tuple, upper: tuple, p: int) -> SparseColumns:
+    """Alternating face sums as sparse columns, one per cell of ``upper``;
+    degenerate faces vanish in the normalized complex."""
     index = {cell: i for i, cell in enumerate(lower)}
-    rows = len(lower)
-    cols = len(upper)
-    entries = [[0] * cols for _ in range(rows)]
-    for j, chain in enumerate(upper):
+    columns = []
+    for chain in upper:
         if p == 1:
-            f = chain[0]
-            entries[index[c.tgt[f]]][j] += 1
-            entries[index[c.src[f]]][j] -= 1
-            continue
-        sign = 1
-        for i in range(p + 1):
-            if i == 0:
-                face = chain[1:]
-            elif i == p:
-                face = chain[:-1]
-            else:
+            faces = [(index[c.tgt[chain[0]]], 1), (index[c.src[chain[0]]], -1)]
+        else:
+            faces = [(index[chain[1:]], 1), (index[chain[:-1]], (-1) ** p)]
+            for i in range(1, p):
                 composite = c.compose(chain[i - 1], chain[i])
-                if c.is_identity(composite):
-                    face = None
-                else:
+                if not c.is_identity(composite):
                     face = chain[: i - 1] + (composite,) + chain[i + 1 :]
-            if face is not None:
-                entries[index[face]][j] += sign
-            sign = -sign
-    return IntMatrix.from_rows(entries) if rows else IntMatrix.zeros(0, cols)
+                    faces.append((index[face], (-1) ** i))
+        col: dict[int, int] = {}
+        for row, sign in faces:
+            col[row] = col.get(row, 0) + sign
+        columns.append({row: v for row, v in col.items() if v})
+    return tuple(columns)
 
 
 def _assert_chain_complex(n: NerveComplex) -> None:
-    for p in range(2, len(n.boundaries)):
-        prod = n.boundaries[p - 1].mul(n.boundaries[p])
-        if any(v != 0 for row in prod.to_rows() for v in row):
-            raise AssertionError(f"boundary squared nonzero in degree {p}")
+    """d_{p-1} ∘ d_p = 0, one column of d_p at a time."""
+    for p in range(2, len(n.columns)):
+        lower = n.columns[p - 1]
+        for col in n.columns[p]:
+            image: dict[int, int] = {}
+            for k, a in col.items():
+                for i, b in lower[k].items():
+                    image[i] = image.get(i, 0) + a * b
+            if any(image.values()):
+                raise AssertionError(f"boundary squared nonzero in degree {p}")
 
 
 def homology(n: NerveComplex) -> list[AbelianInvariants]:
     """H_0 .. H_{cap-1} as canonical abelian invariants."""
     out = []
-    diags = [smith_normal_form(b)[0] for b in n.boundaries]
-    ranks = [sum(1 for d in diag if d) for diag in diags]
+    diags = [
+        smith_diagonal(columns, len(n.cells[p - 1]) if p else 0)
+        for p, columns in enumerate(n.columns)
+    ]
     for p in range(n.cap):
         dim = len(n.cells[p])
-        rank_in = ranks[p + 1]
-        rank_out = ranks[p]
+        rank_in = len(diags[p + 1])
+        rank_out = len(diags[p])
         free = dim - rank_out - rank_in
         torsion = tuple(d for d in diags[p + 1] if d > 1)
         out.append(AbelianInvariants(free, torsion))

@@ -1,15 +1,21 @@
-"""Every cobcat function the benchmark wraps when tracing must exist.
+"""Every cobcat function the benchmark wraps when tracing must exist, and
+what the traced benchmark reads off cobcat's results must keep working.
 
 ``perfbench/run.py --trace 1`` wraps the dotted names listed in the
-``TARGETS`` of each ``perfbench/wl_*.py``; a rename in cobcat would
-otherwise surface only as a crash of the traced benchmark run.
+``TARGETS`` of each ``perfbench/wl_*.py`` and counts through each
+workload's ``pass_counts``; a rename or a changed result type in cobcat
+would otherwise surface only as a crash of the traced benchmark run.
 """
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
+
+from cobcat.fincat import cyclic_group_category, subset_poset_category
+from cobcat.nerve import build_nerve
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -42,3 +48,21 @@ def test_traced_name_resolves(dotted):
     for attr in attrs:
         obj = getattr(obj, attr)
     assert callable(obj)
+
+
+def test_nerve_pass_counts(monkeypatch):
+    # wl_nerve imports its siblings gen and jobs by bare name.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("wl_nerve", PERFBENCH / "wl_nerve.py")
+    wl_nerve = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(wl_nerve)
+    bz5 = build_nerve(cyclic_group_category(5), 4)
+    sphere = build_nerve(subset_poset_category(4), 3)
+    assert wl_nerve.pass_counts([(bz5, None)]) == {
+        "nerve.cells": 341,
+        "nerve.boundary_nonzeros": 1340,
+    }
+    assert wl_nerve.pass_counts([(sphere, None)]) == {
+        "nerve.cells": 74,
+        "nerve.boundary_nonzeros": 144,
+    }

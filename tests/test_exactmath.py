@@ -16,6 +16,7 @@ from cobcat.exactmath import (
     quotient_group,
     reduce_lattice_rows,
     simplify_presentation,
+    smith_diagonal,
     smith_normal_form,
 )
 from cobcat.monoidal import QQ, mat_det
@@ -93,6 +94,73 @@ class TestSmithNormalForm:
     @settings(max_examples=60, deadline=None)
     def test_property(self, rows):
         check_snf(IntMatrix.from_rows(rows))
+
+
+def sparse_columns(m):
+    return [{i: m.entry(i, j) for i in range(m.rows) if m.entry(i, j)} for j in range(m.cols)]
+
+
+def nonzero_snf(m):
+    return [d for d in smith_normal_form(m)[0] if d]
+
+
+# Entries drawn mostly from zero and ±1, the case the sparse pass eliminates,
+# with enough larger values to leave a residual block for the dense loop.
+ENTRIES = st.one_of(
+    st.sampled_from([0, 0, 0, 1, -1]), st.integers(min_value=-12, max_value=12)
+)
+
+
+@st.composite
+def small_matrices(draw):
+    rows = draw(st.integers(min_value=0, max_value=7))
+    cols = draw(st.integers(min_value=0, max_value=7))
+    entries = draw(st.lists(ENTRIES, min_size=rows * cols, max_size=rows * cols))
+    return IntMatrix(rows, cols, entries)
+
+
+class TestSmithDiagonal:
+    def test_known(self):
+        m = IntMatrix.from_rows([[2, 0, 0], [0, 6, 0], [0, 0, 4]])
+        assert smith_diagonal(sparse_columns(m), 3) == [2, 2, 12]
+        assert smith_diagonal([{0: 1, 1: 1}, {0: 1, 1: -1}], 2) == [1, 2]
+        assert smith_diagonal([{}, {}, {}], 4) == []
+
+    def test_empty_shapes(self):
+        assert smith_diagonal([], 0) == []
+        assert smith_diagonal([], 3) == []
+        assert smith_diagonal([{}, {}], 0) == []
+
+    def test_input_not_modified(self):
+        columns = [{0: 1, 1: 2}, {0: 3, 2: 1}, {1: 4, 2: 6}]
+        copy = [dict(col) for col in columns]
+        smith_diagonal(columns, 3)
+        assert columns == copy
+
+    def test_unit_elimination_with_fill(self):
+        # Every entry a unit, so elimination alone decides the rank.
+        m = IntMatrix.from_rows([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
+        assert smith_diagonal(sparse_columns(m), 4) == nonzero_snf(m) == [1, 2, 2, 4]
+
+    @given(small_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_smith_normal_form(self, m):
+        assert smith_diagonal(sparse_columns(m), m.rows) == nonzero_snf(m)
+
+    @given(small_matrices(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_zero_rows_and_columns(self, m, data):
+        # Pad with zero rows and columns at drawn positions.
+        rows = m.to_rows()
+        for _ in range(data.draw(st.integers(0, 3))):
+            rows.insert(data.draw(st.integers(0, len(rows))), [0] * m.cols)
+        width = m.cols
+        for _ in range(data.draw(st.integers(0, 3))):
+            at = data.draw(st.integers(0, width))
+            rows = [row[:at] + [0] + row[at:] for row in rows]
+            width += 1
+        padded = IntMatrix(len(rows), width, [v for row in rows for v in row])
+        assert smith_diagonal(sparse_columns(padded), padded.rows) == nonzero_snf(m)
 
 
 class TestDeterminant:

@@ -1,14 +1,23 @@
+import dataclasses
 import random
+import time
 
 import pytest
 
-from cobcat.exactmath import AbelianInvariants, abelianize, simplify_presentation
+from cobcat import nerve as nerve_module
+from cobcat.exactmath import (
+    AbelianInvariants,
+    abelianize,
+    simplify_presentation,
+    smith_normal_form,
+)
 from cobcat.fincat import (
     cyclic_group_category,
     disjoint_union,
     from_json,
     interval_category,
     parallel_pair,
+    poset_category,
     product,
     subset_poset_category,
     terminal_category,
@@ -43,6 +52,25 @@ class TestCells:
         monkeypatch.setenv("COBCAT_MAX_CELLS", "10")
         with pytest.raises(ResourceLimitExceeded):
             build_nerve(cyclic_group_category(5), cap=3)
+
+    def test_ceiling_refuses_before_building_the_layer(self):
+        # Degree 4 of BZ/40 would hold 39**4 chains; counting them first
+        # refuses without building them.
+        cat = cyclic_group_category(40)
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitExceeded) as info:
+            build_nerve(cat, cap=4, max_cells=100000)
+        assert time.perf_counter() - start < 0.1
+        message = str(info.value)
+        assert str(1 + 39 + 39**2 + 39**3 + 39**4) in message
+        assert "100000" in message
+        assert "--max-cells" in message and "COBCAT_MAX_CELLS" in message
+
+    def test_ceiling_is_inclusive(self):
+        # BZ/5 at cap 3 has 1 + 4 + 16 + 64 = 85 cells.
+        assert sum(build_nerve(cyclic_group_category(5), 3, max_cells=85).cell_counts()) == 85
+        with pytest.raises(ResourceLimitExceeded, match="85 cells at degree 3"):
+            build_nerve(cyclic_group_category(5), 3, max_cells=84)
 
 
 class TestHomology:
@@ -88,6 +116,68 @@ class TestHomology:
         data["identities"] = {rename[o]: m for o, m in data["identities"].items()}
         relabeled = from_json(data)
         assert homology(build_nerve(relabeled, cap=3)) == reference
+
+
+    def test_bz10_cap4(self):
+        nerve = build_nerve(cyclic_group_category(10), cap=4)
+        assert homology(nerve) == [
+            Z,
+            AbelianInvariants(0, (10,)),
+            ZERO,
+            AbelianInvariants(0, (10,)),
+        ]
+
+
+def dense_homology(nerve):
+    """The dense path: Smith normal form of every dense boundary matrix."""
+    diags = [smith_normal_form(b)[0] for b in nerve.boundaries]
+    out = []
+    for p in range(nerve.cap):
+        rank_in = sum(1 for d in diags[p + 1] if d)
+        rank_out = sum(1 for d in diags[p] if d)
+        free = len(nerve.cells[p]) - rank_out - rank_in
+        out.append(AbelianInvariants(free, tuple(d for d in diags[p + 1] if d > 1)))
+    return out
+
+
+def random_poset(rng, size):
+    """A random family of nonempty proper subsets of a ``size``-set, ordered
+    by inclusion; dropping members of the sphere poset leaves holes."""
+    family = [
+        mask for mask in range(1, (1 << size) - 1) if rng.random() < 0.7
+    ]
+    names = [f"s{mask}" for mask in family]
+    return poset_category(
+        names, lambda a, b: int(a[1:]) & ~int(b[1:]) == 0
+    )
+
+
+class TestSparseAgainstDense:
+    def corpus(self):
+        rng = random.Random(2024)
+        cats = [random_poset(rng, rng.randint(3, 5)) for _ in range(8)]
+        cats += [cyclic_group_category(n) for n in (2, 3, 4)]
+        cats += [
+            product(cyclic_group_category(2), interval_category()),
+            product(parallel_pair(), cyclic_group_category(2)),
+            disjoint_union(cyclic_group_category(3), subset_poset_category(3)),
+            disjoint_union(random_poset(rng, 4), parallel_pair()),
+        ]
+        return cats
+
+    @pytest.mark.parametrize("cap", [1, 2, 3, 4])
+    def test_homology_matches_dense_path(self, cap):
+        for cat in self.corpus():
+            nerve = build_nerve(cat, cap=cap)
+            assert homology(nerve) == dense_homology(nerve), cat.objects
+
+    def test_dense_boundaries_match_columns(self):
+        nerve = build_nerve(cyclic_group_category(3), cap=3)
+        for p, matrix in enumerate(nerve.boundaries):
+            rows = matrix.to_rows()
+            assert matrix.shape == (len(nerve.cells[p - 1]) if p else 0, len(nerve.cells[p]))
+            for j, col in enumerate(nerve.columns[p]):
+                assert {i: rows[i][j] for i in range(matrix.rows) if rows[i][j]} == col
 
 
 class TestPi0:
@@ -170,3 +260,47 @@ class TestSpanClosure:
         ]
         for cat in cats:
             build_nerve(cat, cap=3)
+
+    def test_sparse_check_agrees_with_dense_product(self):
+        # Corrupt one entry at a time; the sparse d∘d check must raise
+        # exactly when a dense product of consecutive boundaries is nonzero.
+        cats = [
+            terminal_category(),
+            interval_category(),
+            parallel_pair(),
+            cyclic_group_category(2),
+            cyclic_group_category(4),
+            subset_poset_category(3),
+            subset_poset_category(4),
+            product(interval_category(), parallel_pair()),
+        ]
+        tripped = 0
+        for cat in cats:
+            nerve = build_nerve(cat, cap=3)
+            for lower, upper in zip(nerve.boundaries[1:], nerve.boundaries[2:]):
+                assert not any(v for row in lower.mul(upper).to_rows() for v in row)
+            for p in range(1, nerve.cap + 1):
+                for j in range(0, len(nerve.cells[p]), 3):
+                    for i in range(len(nerve.cells[p - 1])):
+                        columns = [list(layer) for layer in nerve.columns]
+                        col = dict(columns[p][j])
+                        col[i] = col.get(i, 0) + 1
+                        columns[p][j] = {k: v for k, v in col.items() if v}
+                        broken = dataclasses.replace(
+                            nerve, columns=tuple(tuple(layer) for layer in columns)
+                        )
+                        b = broken.boundaries
+                        dense = any(
+                            v
+                            for q in range(2, len(b))
+                            for row in b[q - 1].mul(b[q]).to_rows()
+                            for v in row
+                        )
+                        try:
+                            nerve_module._assert_chain_complex(broken)
+                            sparse = False
+                        except AssertionError:
+                            sparse = True
+                        assert sparse == dense, (cat.objects, p, i, j)
+                        tripped += sparse
+        assert tripped > 100
