@@ -7,6 +7,12 @@ union of the boundary point sets plus a count of closed circles.
 ordered word of cup and cap events; it carries strictly more information
 (nesting), which is exactly what the region-coloring invariant ``f`` sees.
 
+Matchings compose by gluing along the shared boundary, with the same
+:class:`~cobcat.exactmath.UnionFind` that glues surfaces in ``cob2``: each
+arc joins two points, a class reaching the outer boundary is an arc of the
+composite and a class inside the middle is a new circle.  ``to_matching``
+keeps its own sweep, so it stays an independent check of that gluing.
+
 The sweep computing ``f`` colors the complement of the diagram: a gap lying
 above an odd number of strands is red, and ``f`` is the Euler characteristic
 of the red region relative to the incoming slice.  Every cup opening inside
@@ -23,7 +29,7 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .exactmath import strict_int
+from .exactmath import UnionFind, strict_int
 
 Pair = tuple[int, int]
 
@@ -102,67 +108,28 @@ def cap_matching() -> Matching1D:
 def compose_abstract(w: Matching1D, w2: Matching1D) -> Matching1D:
     """Glue w2 after w along the shared boundary of size w.n.
 
-    Arcs are spliced through the middle; middle points not reached from any
-    outer endpoint form closed loops and each loop adds one circle.
+    The points are numbered w's incoming ends, then the shared middle, then
+    w2's outgoing ends, and every arc of either side joins its two points in
+    one union-find.  A class holding outer ends is an arc of the composite;
+    a class of middle points only is a closed loop and adds one circle.
     """
     if w.n != w2.m:
         raise ValueError(f"interface mismatch: {w.n} outgoing vs {w2.m} incoming")
     m, n, k = w.m, w.n, w2.n
-    partner1: dict[int, int] = {}
+    uf = UnionFind(m + n + k)
     for a, b in w.pairs:
-        partner1[a] = b
-        partner1[b] = a
-    partner2: dict[int, int] = {}
+        uf.union(a, b)
     for a, b in w2.pairs:
-        partner2[a] = b
-        partner2[b] = a
-
-    seen_mid: set[int] = set()
-
-    def trace(side: str, pt: int) -> tuple[str, int]:
-        while True:
-            if side == "L":
-                q = partner1[pt]
-                if q < m:
-                    return ("L", q)
-                j = q - m
-                seen_mid.add(j)
-                side, pt = "R", j
-            else:
-                q = partner2[pt]
-                if q >= n:
-                    return ("R", q)
-                seen_mid.add(q)
-                side, pt = "L", m + q
-
-    def final_label(side: str, pt: int) -> int:
-        return pt if side == "L" else m + (pt - n)
-
+        uf.union(m + a, m + b)
     pairs: list[Pair] = []
-    resolved: set[tuple[str, int]] = set()
-    ends = [("L", p) for p in range(m)] + [("R", q) for q in range(n, n + k)]
-    for side, pt in ends:
-        if (side, pt) in resolved:
-            continue
-        other = trace(side, pt)
-        resolved.add((side, pt))
-        resolved.add(other)
-        pairs.append((final_label(side, pt), final_label(*other)))
-
-    extra = 0
-    for j0 in range(n):
-        if j0 in seen_mid:
-            continue
-        extra += 1
-        cur = j0
-        while True:
-            seen_mid.add(cur)
-            step = partner1[m + cur] - m
-            seen_mid.add(step)
-            cur = partner2[step]
-            if cur == j0:
-                break
-    return matching(m, k, pairs, w.circles + w2.circles + extra)
+    loops = 0
+    for group in uf.groups():
+        ends = [p if p < m else p - n for p in group if not m <= p < m + n]
+        if ends:
+            pairs.append(tuple(ends))
+        else:
+            loops += 1
+    return matching(m, k, pairs, w.circles + w2.circles + loops)
 
 
 def tensor_matching(w: Matching1D, u: Matching1D) -> Matching1D:
@@ -211,6 +178,7 @@ def euler_triviality_witness(size: int) -> int:
 
 CUP = "cup"
 CAP = "cap"
+_STRANDS = {CUP: 2, CAP: -2}  # strands an event adds
 
 
 @dataclass(frozen=True)
@@ -247,16 +215,13 @@ class PlanarDiagram:
 
     @property
     def n(self) -> int:
-        count = self.m
-        for kind, _ in self.slices:
-            count += 2 if kind == CUP else -2
-        return count
+        return self.m + sum(_STRANDS[kind] for kind, _ in self.slices)
 
     def counts(self) -> list[int]:
         """Running strand counts, one entry per slice boundary (len + 1)."""
         out = [self.m]
         for kind, _ in self.slices:
-            out.append(out[-1] + (2 if kind == CUP else -2))
+            out.append(out[-1] + _STRANDS[kind])
         return out
 
     def to_json(self) -> dict:
@@ -512,34 +477,13 @@ def commute_events(w: PlanarDiagram, t: int) -> PlanarDiagram | None:
     if not 0 <= t < len(w.slices) - 1:
         raise ValueError("t must address a consecutive slice pair")
     (ka, i), (kb, j) = w.slices[t], w.slices[t + 1]
-    if ka == CUP and kb == CUP:
-        if j >= i + 2:
-            swapped = ((CUP, j - 2), (CUP, i))
-        elif j <= i - 2:
-            swapped = ((CUP, j), (CUP, i + 2))
-        else:
-            return None
-    elif ka == CUP and kb == CAP:
-        if j >= i + 2:
-            swapped = ((CAP, j - 2), (CUP, i))
-        elif j <= i - 2:
-            swapped = ((CAP, j), (CUP, i - 2))
-        else:
-            return None
-    elif ka == CAP and kb == CUP:
-        if j >= i + 2:
-            swapped = ((CUP, j + 2), (CAP, i))
-        elif j <= i - 2:
-            swapped = ((CUP, j), (CAP, i + 2))
-        else:
-            return None
+    if abs(i - j) < 2:
+        return None
+    # The lower event shifts the upper one by the strands it adds or removes.
+    if j > i:
+        swapped = ((kb, j - _STRANDS[ka]), (ka, i))
     else:
-        if j >= i + 2:
-            swapped = ((CAP, j + 2), (CAP, i))
-        elif j <= i - 2:
-            swapped = ((CAP, j), (CAP, i - 2))
-        else:
-            return None
+        swapped = ((kb, j), (ka, i + _STRANDS[kb]))
     return PlanarDiagram(w.m, w.slices[:t] + swapped + w.slices[t + 2 :])
 
 
@@ -599,7 +543,7 @@ def random_planar_word(rng, m: int, length: int) -> PlanarDiagram:
         options += [(CAP, i) for i in range(count - 1)]
         kind, i = options[rng.randrange(len(options))]
         slices.append((kind, i))
-        count += 2 if kind == CUP else -2
+        count += _STRANDS[kind]
     return PlanarDiagram(m, tuple(slices))
 
 

@@ -516,12 +516,22 @@ def surface_from_json(data: dict) -> SurfaceCobordism:
             component(
                 orientable,
                 genus,
-                entry.get("in", ()),
-                entry.get("out", ()),
+                _json_array(entry.get("in", []), "in"),
+                _json_array(entry.get("out", []), "out"),
                 entry.get("eps"),
             )
         )
-    return surface(tuple(data["src"]), tuple(data["tgt"]), comps)
+    return surface(
+        tuple(_json_array(data["src"], "src")), tuple(_json_array(data["tgt"], "tgt")), comps
+    )
+
+
+def _json_array(value, key: str) -> list:
+    """``value`` when it is a JSON array; a string is not read as a list of
+    one-letter circle names."""
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be a JSON array, got {value!r}")
+    return value
 
 
 def random_surface(rng, src, tgt, max_genus: int = 2, closed_extra: int = 1):

@@ -7,12 +7,19 @@ modular shortcuts.  Main entry points:
                             and column operations, returning the transforms
     smith_diagonal          invariant factors of a sparse matrix, by sparse
                             unit-pivot elimination and no transforms
+    quotient_group          Z^n modulo a row family, with generator classes
     AbelianInvariants       canonical form (free rank, invariant factors) of
                             a finitely generated abelian group
     GroupPresentation       relator words over named generators
     abelianize              invariants of the abelianization of a presentation
     simplify_presentation   bounded, deterministic Tietze simplification
     UnionFind               disjoint-set forest with Z/2 edge parities
+
+All three run one dense pivot loop, ``_smith_loop``.  A transform rides
+along the matrix it belongs to: the left one as identity columns appended
+after the block, which every row operation reaches, and the right one as
+identity rows appended below it, which every column operation reaches.  So
+the loop takes no transform arguments and never asks whether one is kept.
 
 >>> d, left, right = smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]]))
 >>> d
@@ -25,7 +32,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 
 def strict_int(value: object) -> int:
@@ -97,13 +104,6 @@ class IntMatrix:
         c = self.cols
         return [list(self._data[i * c : (i + 1) * c]) for i in range(self.rows)]
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            [self.entry(i, j) for j in range(self.cols) for i in range(self.rows)],
-        )
-
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
@@ -162,56 +162,29 @@ def smith_normal_form(
     >>> smith_normal_form(IntMatrix.zeros(2, 2))[0]
     [0, 0]
     """
-    left = IntMatrix.identity(m.rows).to_rows()
-    right = IntMatrix.identity(m.cols).to_rows()
-    diag = _smith_loop(m.to_rows(), m.rows, m.cols, left, right)
-    return diag, IntMatrix.from_rows(left), IntMatrix.from_rows(right)
+    r, c = m.rows, m.cols
+    # [m | I_r] over [I_c]: row operations reach the left transform, column
+    # operations the right one.
+    a = [row + _unit(i, r) for i, row in enumerate(m.to_rows())]
+    a += [_unit(j, c) for j in range(c)]
+    diag = _smith_loop(a, r, c)
+    left = IntMatrix.from_rows([row[c:] for row in a[:r]])
+    return diag, left, IntMatrix.from_rows(a[r:])
 
 
-def _smith_loop(
-    a: list[list[int]],
-    rows: int,
-    cols: int,
-    left: list[list[int]] | None = None,
-    right: list[list[int]] | None = None,
-) -> list[int]:
-    """Diagonalize the dense ``a`` in place and return its Smith diagonal.
+def _unit(i: int, n: int) -> list[int]:
+    return [int(i == k) for k in range(n)]
 
-    ``left`` and ``right``, when given, receive the same row and column
-    operations as ``a``; pass ``None`` for a transform nobody reads.
+
+def _smith_loop(a: list[list[int]], rows: int, cols: int) -> list[int]:
+    """Diagonalize the block ``a[:rows]`` x ``[:cols]`` in place and return
+    its Smith diagonal.
+
+    Row operations act on the first ``rows`` rows over their whole length,
+    and column operations on the first ``cols`` entries of every row, so
+    columns appended to the block collect the left transform and rows
+    appended below it the right one.
     """
-
-    def row_swap(i: int, k: int) -> None:
-        a[i], a[k] = a[k], a[i]
-        if left is not None:
-            left[i], left[k] = left[k], left[i]
-
-    def row_sub(i: int, k: int, q: int) -> None:
-        if q:
-            a[i] = [x - q * y for x, y in zip(a[i], a[k])]
-            if left is not None:
-                left[i] = [x - q * y for x, y in zip(left[i], left[k])]
-
-    def row_negate(i: int) -> None:
-        a[i] = [-x for x in a[i]]
-        if left is not None:
-            left[i] = [-x for x in left[i]]
-
-    def col_swap(j: int, k: int) -> None:
-        for row in a:
-            row[j], row[k] = row[k], row[j]
-        if right is not None:
-            for row in right:
-                row[j], row[k] = row[k], row[j]
-
-    def col_sub(j: int, k: int, q: int) -> None:
-        if q:
-            for row in a:
-                row[j] -= q * row[k]
-            if right is not None:
-                for row in right:
-                    row[j] -= q * row[k]
-
     t = 0
     while t < rows and t < cols:
         pos = _find_pivot(a, t, rows, cols)
@@ -219,40 +192,38 @@ def _smith_loop(
             break
         while True:
             pi, pj = pos
-            if pi != t:
-                row_swap(t, pi)
+            a[t], a[pi] = a[pi], a[t]
             if pj != t:
-                col_swap(t, pj)
+                for row in a:
+                    row[t], row[pj] = row[pj], row[t]
             if a[t][t] < 0:
-                row_negate(t)
-            pivot = a[t][t]
+                a[t] = [-x for x in a[t]]
+            at = a[t]
+            pivot = at[t]
             # One reduction sweep; leftover residues become the next pivot.
             for i in range(rows):
-                if i != t and a[i][t]:
-                    row_sub(i, t, a[i][t] // pivot)
+                q = a[i][t] // pivot
+                if q and i != t:
+                    a[i] = [x - q * y for x, y in zip(a[i], at)]
             for j in range(cols):
-                if j != t and a[t][j]:
-                    col_sub(j, t, a[t][j] // pivot)
+                q = at[j] // pivot
+                if q and j != t:
+                    for row in a:
+                        row[j] -= q * row[t]
             if any(a[i][t] for i in range(rows) if i != t) or any(
-                a[t][j] for j in range(cols) if j != t
+                at[j] for j in range(cols) if j != t
             ):
                 pos = _find_pivot(a, t, rows, cols)
                 continue
             # Pivot must divide every remaining entry; if not, fold the
-            # offending row in and keep reducing.
-            bad = None
+            # first offending row in and keep reducing.
             for i in range(t + 1, rows):
-                ai = a[i]
-                for j in range(t + 1, cols):
-                    if ai[j] % pivot:
-                        bad = i
-                        break
-                if bad is not None:
+                if any(a[i][j] % pivot for j in range(t + 1, cols)):
+                    a[t] = [x + y for x, y in zip(at, a[i])]
+                    pos = (t, t)
                     break
-            if bad is None:
+            else:
                 break
-            row_sub(t, bad, -1)
-            pos = (t, t)
         t += 1
 
     return [a[k][k] for k in range(min(rows, cols))]
@@ -450,8 +421,8 @@ class GroupPresentation:
             parts.append(name if letter > 0 else f"{name}^-1")
         return "*".join(parts) if parts else "1"
 
-    def exponent_matrix(self) -> IntMatrix:
-        """Relators-by-generators matrix of exponent sums."""
+    def exponent_matrix(self) -> list[list[int]]:
+        """Exponent sums of each relator, one row over the generators."""
         n = len(self.generators)
         rows = []
         for rel in self.relators:
@@ -459,9 +430,7 @@ class GroupPresentation:
             for letter in rel:
                 row[abs(letter) - 1] += 1 if letter > 0 else -1
             rows.append(row)
-        if not rows:
-            return IntMatrix.zeros(0, n)
-        return IntMatrix.from_rows(rows)
+        return rows
 
 
 def abelianize(p: GroupPresentation) -> AbelianInvariants:
@@ -477,9 +446,7 @@ def abelianize(p: GroupPresentation) -> AbelianInvariants:
     """
     # Each relator row is a column of the transpose, which has the same
     # invariant factors.
-    columns = [
-        {j: v for j, v in enumerate(row) if v} for row in p.exponent_matrix().to_rows()
-    ]
+    columns = [{j: v for j, v in enumerate(row) if v} for row in p.exponent_matrix()]
     diag = smith_diagonal(columns, len(p.generators))
     return AbelianInvariants.from_relation_diagonal(diag, len(p.generators))
 
@@ -688,28 +655,20 @@ def quotient_group(
     value is reduced mod the invariant factor.
     """
     rows = reduce_lattice_rows(relator_rows, n_generators)
-    if not rows:
-        inv = AbelianInvariants(n_generators, ())
-        classes = [
-            [(1 if i == j else 0, 0) for i in range(n_generators)]
-            for j in range(n_generators)
-        ]
-        return inv, classes
-    a = IntMatrix.from_rows(rows).transpose()  # n x r, columns = relators
-    diag, left, _ = smith_normal_form(a)
+    # Relators as the columns of [R^T | I_n]: the appended block collects
+    # the left transform, which carries each generator to its coordinates.
+    r = len(rows)
+    a = [[row[i] for row in rows] + _unit(i, n_generators) for i in range(n_generators)]
+    diag = _smith_loop(a, n_generators, r)
     inv = AbelianInvariants.from_relation_diagonal(diag, n_generators)
-    moduli = []
-    for i in range(n_generators):
-        d = diag[i] if i < len(diag) else 0
-        moduli.append(d)
+    moduli = diag + [0] * (n_generators - len(diag))
     keep = [i for i, d in enumerate(moduli) if d != 1]
     classes = []
-    lrows = left.to_rows()
     for j in range(n_generators):
         coord = []
         for i in keep:
             d = moduli[i]
-            v = lrows[i][j]
+            v = a[i][r + j]
             coord.append((v % d if d else v, d))
         classes.append(coord)
     return inv, classes

@@ -380,14 +380,19 @@ def to_json(c: FinCat) -> dict:
 def from_json(data: dict) -> FinCat:
     """Parse and validate the wire format; raises ValueError on any defect."""
     try:
-        objects = list(data["objects"])
+        objects = data["objects"]
         morphisms = [(m["id"], m["src"], m["tgt"]) for m in data["morphisms"]]
-        identities = dict(data["identities"])
-        compose = [tuple(row) for row in data["compose"]]
+        identities = data["identities"]
+        compose = list(data["compose"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed category JSON: {exc}") from None
+    # A string is a sequence too, but its characters are not a list of names.
+    if not isinstance(objects, list):
+        raise ValueError(f"objects must be a JSON array, got {objects!r}")
+    if not isinstance(identities, dict):
+        raise ValueError(f"identities must be a JSON object, got {identities!r}")
     for row in compose:
-        if len(row) != 3:
+        if not isinstance(row, list) or len(row) != 3:
             raise ValueError("compose rows must be [f, g, h] triples")
     return build_category(objects, morphisms, identities, compose)
 

@@ -121,8 +121,7 @@ def abelian_loop_classes(
     vector of morphism f transported to the basepoint; identities are zero.
     """
     p = fundamental_group(c, basepoint)
-    rows = p.exponent_matrix().to_rows()
-    invariants, gen_classes = quotient_group(rows, len(p.generators))
+    invariants, gen_classes = quotient_group(p.exponent_matrix(), len(p.generators))
     zero = [(0, mod) for _, mod in gen_classes[0]] if gen_classes else []
     classes: dict[int, list[tuple[int, int]]] = {}
     letter = {name: i for i, name in enumerate(p.generators)}

@@ -910,11 +910,10 @@ def extend_to_full(theory: FrobeniusDatum) -> Extension:
     composites collapse to identities; a degenerate pairing admits no cap at
     all because the zig-zag forces the pairing's adjoint to be invertible.
     """
-    fld = theory.field
-    det = mat_det(fld, theory.pairing)
-    if det == fld.zero():
+    try:
+        cap = mat_inv(theory.field, theory.pairing)  # the pairing is square
+    except ValueError:
         return Extension(False, "pairing is degenerate (determinant 0)", None)
-    cap = mat_inv(fld, theory.pairing)
     return Extension(True, "pairing is nondegenerate", FullEvaluator(theory, cap))
 
 

@@ -82,13 +82,20 @@ def build_nerve(
     """Enumerate nerve cells up to degree ``cap`` and assemble boundaries.
 
     Raises :class:`ResourceLimitExceeded` if the total number of cells would
-    pass ``max_cells`` (default from COBCAT_MAX_CELLS or 10**6).  Each
-    layer's size is counted before the layer is built, so a refusal costs
-    no more than the layers below it.
+    pass ``max_cells`` (default from COBCAT_MAX_CELLS or 10**6).  Each of the
+    ``cap + 1`` degrees counts as at least one cell, even an empty one, so a
+    huge cap is refused before any layer is built; each layer's size is
+    counted before the layer is built, so a refusal costs no more than the
+    layers below it.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
     ceiling = max_cells_default() if max_cells is None else max_cells
+    if cap + 1 > ceiling:
+        raise ResourceLimitExceeded(
+            f"--cap {cap} asks for {cap + 1} degrees, over the cell ceiling of "
+            f"{ceiling} (--max-cells / {MAX_CELLS_ENV})"
+        )
     non_identities = [
         f for f in range(len(c.morphisms)) if not c.is_identity(f)
     ]

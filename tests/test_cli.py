@@ -103,6 +103,28 @@ class TestCat:
         payload = json.loads(capsys.readouterr().out)
         assert "nested too deeply" in payload["error"]
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("objects", "ab"), ("compose", ["iii", "jjj"]), ("identities", ["ai", "bj"])],
+    )
+    def test_strings_are_not_lists(self, tmp_path, field, value):
+        doc = {
+            "objects": ["a", "b"],
+            "morphisms": [{"id": "i", "src": "a", "tgt": "a"}, {"id": "j", "src": "b", "tgt": "b"}],
+            "identities": {"a": "i", "b": "j"},
+            "compose": [["i", "i", "i"], ["j", "j", "j"]],
+        }
+        assert ok("cat", "validate", write(tmp_path, "list.json", doc))["valid"]
+        doc[field] = value
+        report = dispatch(("cat", "validate", write(tmp_path, "str.json", doc)))
+        assert report.exit_code == 1
+        assert set(report.payload()) == {"command", "error"}
+
+    def test_cap_counts_against_the_cell_ceiling(self, files):
+        report = dispatch(("cat", "homology", "--cap", "10", "--max-cells", "10", files["terminal"]))
+        assert report.exit_code == 2
+        assert "--cap 10" in report.error and "--max-cells" in report.error
+
     def test_failed_self_check_is_internal_error(self, files, monkeypatch):
         real = nerve._boundary_matrix
 
@@ -207,6 +229,21 @@ class TestCob2:
         entry = {"orientable": flag, "genus": 1, "crosscaps": 1}
         doc = {"src": [], "tgt": [], "components": [entry]}
         report = dispatch(("cob2", "class", write(tmp_path, "s.json", doc)))
+        assert report.exit_code == 1
+        assert set(report.payload()) == {"command", "error"}
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"src": "ab", "tgt": [], "components": [{"in": ["a", "b"]}]},
+            {"src": [], "tgt": "ab", "components": [{"out": ["a", "b"]}]},
+            {"src": ["a", "b"], "tgt": [], "components": [{"in": "ab"}]},
+            {"src": [], "tgt": ["a", "b"], "components": [{"out": "ab"}]},
+        ],
+    )
+    def test_circle_lists_must_be_arrays(self, tmp_path, doc):
+        doc["components"][0].update(orientable=True, genus=0)
+        report = dispatch(("cob2", "euler", write(tmp_path, "s.json", doc)))
         assert report.exit_code == 1
         assert set(report.payload()) == {"command", "error"}
 

@@ -1,9 +1,13 @@
+import doctest
+import importlib
+import pkgutil
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cobcat
 from cobcat.exactmath import (
     AbelianInvariants,
     GroupPresentation,
@@ -355,10 +359,50 @@ class TestLatticeReduction:
         assert classes[0] == [(1, 0), (0, 0), (0, 0)]
 
 
-def test_doctests():
-    import doctest
+relator_families = st.integers(0, 6).flatmap(
+    lambda width: st.tuples(
+        st.just(width),
+        st.lists(st.lists(st.integers(-6, 6), min_size=width, max_size=width), max_size=6),
+    )
+)
 
-    import cobcat.exactmath as mod
 
-    failures, _ = doctest.testmod(mod)
+class TestQuotientClasses:
+    @settings(max_examples=300, deadline=None)
+    @given(relator_families)
+    def test_classes_match_smith_normal_form(self, family):
+        width, relators = family
+        inv, classes = quotient_group(relators, width)
+        # Oracle: the left transform of smith_normal_form on the transposed
+        # reduced rows, read off the way quotient_group reads its own.
+        rows = reduce_lattice_rows(relators, width)
+        transposed = [[row[i] for row in rows] for i in range(width)]
+        diag, left, _ = smith_normal_form(IntMatrix.from_rows(transposed))
+        assert inv == AbelianInvariants.from_relation_diagonal(diag, width)
+        moduli = [diag[i] if i < len(diag) else 0 for i in range(width)]
+        keep = [i for i in range(width) if moduli[i] != 1]
+        lrows = left.to_rows()
+        expected = [
+            [(lrows[i][j] % moduli[i] if moduli[i] else lrows[i][j], moduli[i]) for i in keep]
+            for j in range(width)
+        ]
+        assert classes == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(relator_families)
+    def test_every_relator_maps_to_zero(self, family):
+        width, relators = family
+        _, classes = quotient_group(relators, width)
+        moduli = [d for _, d in classes[0]] if classes else []
+        for row in relators:
+            for k, d in enumerate(moduli):
+                value = sum(r * classes[j][k][0] for j, r in enumerate(row))
+                assert (value % d if d else value) == 0
+
+
+@pytest.mark.parametrize(
+    "name", sorted(f"cobcat.{m.name}" for m in pkgutil.iter_modules(cobcat.__path__))
+)
+def test_doctests(name):
+    failures, _ = doctest.testmod(importlib.import_module(name))
     assert failures == 0

@@ -72,6 +72,16 @@ class TestCells:
         with pytest.raises(ResourceLimitExceeded, match="85 cells at degree 3"):
             build_nerve(cyclic_group_category(5), 3, max_cells=84)
 
+    def test_cap_counts_against_the_ceiling(self):
+        # The one-object category has no cell above degree 0, yet each of
+        # the cap + 1 degrees is built and reported, so each counts.
+        assert build_nerve(terminal_category(), 9, max_cells=10).cell_counts() == [1] + [0] * 9
+        with pytest.raises(ResourceLimitExceeded) as info:
+            build_nerve(terminal_category(), 10, max_cells=10)
+        message = str(info.value)
+        assert "--cap 10" in message and "ceiling of 10 " in message
+        assert "--max-cells / COBCAT_MAX_CELLS" in message
+
 
 class TestHomology:
     def test_sphere_poset(self):
