@@ -1,7 +1,8 @@
 """Shared resource-ceiling plumbing.
 
-Long-running enumerations (nerve cells, equivalence searches) refuse to grow
-past a configurable ceiling instead of exhausting memory.  The CLI maps
+Long-running enumerations (nerve cells, equivalence searches, surface
+closings) refuse to grow past a configurable ceiling instead of exhausting
+memory or time.  The CLI maps
 :class:`ResourceLimitExceeded` to exit code 2.
 """
 

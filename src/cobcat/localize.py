@@ -7,6 +7,10 @@ localization must satisfy, and runs one relator engine that computes the
 abelianized automorphism group of the empty object for two cobordism
 categories: closed surfaces (detected by Euler characteristic) and closed
 planar 1-manifold diagrams (detected by the signed circle count).
+
+Surfaces are closed from their pieces' shapes (orientability, boundary signs
+and chi per component), memoized per shape pair; the closing count is held
+to the cell ceiling before any piece is built.
 """
 
 from __future__ import annotations
@@ -18,21 +22,22 @@ from .cob2 import (
     S2,
     ConnectedClass,
     SurfaceCobordism,
+    chi_of_class,
     class_name,
     component,
-    compose_surface,
     surface,
-    surface_class,
 )
 from .exactmath import (
     AbelianInvariants,
     GroupPresentation,
+    UnionFind,
     Word,
     free_reduce,
     quotient_group,
     reduce_lattice_rows,
 )
 from .fincat import FinCat, Functor, check_functor, is_groupoid
+from .limits import MAX_CELLS_ENV, ResourceLimitExceeded, max_cells_default
 from .nerve import component_objects, fundamental_group, pi0
 
 
@@ -299,55 +304,7 @@ def _relator_engine(
 
 
 # ---------------------------------------------------------------------------
-# Surface relation instances and the localization class group.
-
-
-@dataclass(frozen=True)
-class SurfaceRelationInstance:
-    """Commuting-square witness in the surface category over a closed
-    1-manifold y: caps w1, w2: y -> {} and cups w3, w4: {} -> y."""
-
-    w1: SurfaceCobordism
-    w2: SurfaceCobordism
-    w3: SurfaceCobordism
-    w4: SurfaceCobordism
-
-    def __post_init__(self):
-        if self.w1.tgt != () or self.w2.tgt != ():
-            raise ValueError("w1 and w2 must end at the empty manifold")
-        if self.w3.src != () or self.w4.src != ():
-            raise ValueError("w3 and w4 must start at the empty manifold")
-        if self.w1.src != self.w2.src:
-            raise ValueError("w1 and w2 must be parallel")
-        if self.w3.tgt != self.w4.tgt:
-            raise ValueError("w3 and w4 must be parallel")
-        if self.w3.tgt != self.w1.src:
-            raise ValueError("the cups must feed the caps")
-
-    def composites(self) -> tuple[SurfaceCobordism, ...]:
-        return (
-            compose_surface(self.w3, self.w1),
-            compose_surface(self.w3, self.w2),
-            compose_surface(self.w4, self.w1),
-            compose_surface(self.w4, self.w2),
-        )
-
-
-def surface_relator_vector(
-    inst: SurfaceRelationInstance, index: Mapping[ConnectedClass, int]
-) -> list[int] | None:
-    """Exponent row of the relator over the generator basis.
-
-    Returns None when some composite contains a component outside the
-    basis, in which case the instance cannot be expressed and is skipped.
-    """
-    row = [0] * len(index)
-    for sign, w in zip((1, -1, -1, 1), inst.composites()):
-        vec = _count_row(surface_class(w).components, index)
-        if vec is None:
-            return None
-        row = [r + sign * v for r, v in zip(row, vec)]
-    return row
+# Closed surfaces from piece shapes, and the localization class group.
 
 
 @dataclass(frozen=True)
@@ -434,17 +391,62 @@ def _pieces(
             pieces.append(surface(src, tgt, [comp(True, genus, circles, eps)]))
     for first in singles:
         for second in singles:
-            pieces.append(
-                surface(
-                    src,
-                    tgt,
-                    [
-                        comp(first[0], first[1], circles[:1]),
-                        comp(second[0], second[1], circles[1:]),
-                    ],
-                )
-            )
+            comps = [comp(*first, circles[:1]), comp(*second, circles[1:])]
+            pieces.append(surface(src, tgt, comps))
     return pieces
+
+
+def _shape(piece: SurfaceCobordism, circles: tuple[str, ...]) -> tuple[tuple, tuple[int, ...]]:
+    """``(skeleton, chis)``: per component of the piece, ``(orientable,
+    ((circle position, eps sign or 0 if non-orientable), ...))`` and chi."""
+    skeleton = []
+    for comp in piece.components:
+        eps = {c: sign for _, c, sign in comp.eps}
+        owned = comp.in_circles + comp.out_circles
+        skeleton.append((comp.orientable, tuple((circles.index(c), eps.get(c, 0)) for c in owned)))
+    return tuple(skeleton), tuple(comp.chi for comp in piece.components)
+
+
+def _glue(cup: tuple, cap: tuple) -> list[tuple[list[int], bool]]:
+    """``(members, orientable)`` per component of the closed surface glued
+    from two skeletons, cup components being nodes ``0..k-1`` and cap ones
+    ``k..``; parity is that of ``cob2.compose_surface``."""
+    k = len(cup)
+    owner = {pos: (i, sign) for i, (_, ends) in enumerate(cup) for pos, sign in ends}
+    uf = UnionFind(k + len(cap))
+    for j, (_, ends) in enumerate(cap):
+        for pos, sign in ends:
+            i, cup_sign = owner[pos]
+            uf.union(i, k + j, 1 if sign * cup_sign == 1 else 0)  # sign 0: non-orientable
+    nodes = cup + cap
+    return [
+        (group, not uf.odd[uf.find(group[0])[0]] and all(nodes[x][0] for x in group))
+        for group in uf.groups()
+    ]
+
+
+def _shape_closer(index: Mapping[ConnectedClass, int]):
+    """``close(cup, cap)`` on shapes: the basis row of the closed surface, or
+    None when a class leaves the basis.  Gluings are memoized per skeleton
+    pair, of which there are at most 7 x 7 over two circles."""
+    by_chi = {(cls[0], chi_of_class(cls)): i for cls, i in index.items()}
+    glued: dict[tuple, list] = {}
+
+    def close(cup: tuple, cap: tuple) -> list[int] | None:
+        key = (cup[0], cap[0])
+        groups = glued.get(key)
+        if groups is None:
+            groups = glued[key] = _glue(*key)
+        chi = (cup[1] + cap[1]).__getitem__
+        row = [0] * len(index)
+        for members, orientable in groups:
+            i = by_chi.get((orientable, sum(map(chi, members))))
+            if i is None:
+                return None
+            row[i] += 1
+        return row
+
+    return close
 
 
 def surface_localization_group(max_complexity: int) -> SurfaceLocalizationResult:
@@ -458,30 +460,37 @@ def surface_localization_group(max_complexity: int) -> SurfaceLocalizationResult
     every piece against the all-discs reference: a general instance row is
     the signed sum of the four reference rows of its corners, and whenever
     the instance's composites stay in the basis so do those of the reference
-    rows, so the relator lattice is unchanged.  Instances whose composite
-    falls outside the generator basis are skipped and counted.  The free
-    coordinate is normalized so the sphere class is positive.
+    rows, so the relator lattice is unchanged.  Each closing is computed
+    from the two pieces' shapes, not by composing them.  Instances whose
+    composite falls outside the generator basis are skipped and counted.
+    The free coordinate is normalized so the sphere class is positive.
+    A closing count over the cell ceiling is refused before any piece is
+    built.
     """
     if max_complexity < 0:
         raise ValueError("max_complexity must be nonnegative")
+    # s one-circle and c connected two-circle pieces, as _pieces enumerates
+    # them, close in s^2 pairs over one circle and (c + s^2)^2 over two.
+    s = (max_complexity + 1) // 2 + max_complexity + 2
+    c = 2 * (max_complexity // 2 + 1) + max_complexity
+    count, ceiling = s * s + (c + s * s) ** 2, max_cells_default()
+    if count > ceiling:
+        raise ResourceLimitExceeded(
+            f"--max-chi {max_complexity} would close {count} cup-cap pairs, over "
+            f"the ceiling of {ceiling} ({MAX_CELLS_ENV})"
+        )
     basis = connected_generators(max_complexity)
     index = {cls: i for i, cls in enumerate(basis)}
-
-    def close(cup: SurfaceCobordism, cap: SurfaceCobordism) -> list[int] | None:
-        return _count_row(surface_class(compose_surface(cup, cap)).components, index)
-
+    close = _shape_closer(index)
     levels = []
     for n_circles in (1, 2):
         circles = tuple(f"y{i}" for i in range(n_circles))
-        levels.append(
-            (
-                _pieces(circles, -max_complexity, as_cap=True),
-                _pieces(circles, -max_complexity, as_cap=False),
-                _pieces(circles, 1, as_cap=True)[0],
-                _pieces(circles, 1, as_cap=False)[0],
-                close,
-            )
-        )
+        shapes = [
+            [_shape(piece, circles) for piece in _pieces(circles, min_chi, as_cap)]
+            for min_chi in (-max_complexity, 1)
+            for as_cap in (True, False)
+        ]
+        levels.append((shapes[0], shapes[1], shapes[2][0], shapes[3][0], close))
     invariants, classes, relator_count, skipped = _relator_engine(
         levels, len(basis), index[S2]
     )
@@ -577,16 +586,6 @@ def closed_diagram_forest(
             parents_inv[x].append(y)
     roots = [i for i in range(n) if depth[i] == 0]
     return tuple(sorted(build(root) for root in roots))
-
-
-def tree_nodes(tree: Tree) -> int:
-    return 1 + sum(tree_nodes(child) for child in tree)
-
-
-def tree_signed_count(tree: Tree, depth: int = 0) -> int:
-    """Nodes at even depth minus nodes at odd depth."""
-    sign = 1 if depth % 2 == 0 else -1
-    return sign + sum(tree_signed_count(child, depth + 1) for child in tree)
 
 
 def enumerate_trees(max_nodes: int) -> list[Tree]:

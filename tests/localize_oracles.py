@@ -1,0 +1,101 @@
+"""Slow, independent paths that the localization tests compare against.
+
+The surface engine closes cup-cap pairs from piece shapes; these helpers
+close them by building the composite with ``cob2.compose_surface`` and
+classifying it, the way the engine did before.  The tree counts are the
+planar classes the planar engine must reproduce.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Mapping
+
+from cobcat.cob2 import S2, ConnectedClass, SurfaceCobordism, compose_surface, surface_class
+from cobcat.localize import Tree, _count_row, _pieces, _relator_engine, connected_generators
+
+
+@dataclass(frozen=True)
+class SurfaceRelationInstance:
+    """Commuting-square witness in the surface category over a closed
+    1-manifold y: caps w1, w2: y -> {} and cups w3, w4: {} -> y."""
+
+    w1: SurfaceCobordism
+    w2: SurfaceCobordism
+    w3: SurfaceCobordism
+    w4: SurfaceCobordism
+
+    def __post_init__(self):
+        if self.w1.tgt != () or self.w2.tgt != ():
+            raise ValueError("w1 and w2 must end at the empty manifold")
+        if self.w3.src != () or self.w4.src != ():
+            raise ValueError("w3 and w4 must start at the empty manifold")
+        if self.w1.src != self.w2.src:
+            raise ValueError("w1 and w2 must be parallel")
+        if self.w3.tgt != self.w4.tgt:
+            raise ValueError("w3 and w4 must be parallel")
+        if self.w3.tgt != self.w1.src:
+            raise ValueError("the cups must feed the caps")
+
+    def composites(self) -> tuple[SurfaceCobordism, ...]:
+        return (
+            compose_surface(self.w3, self.w1),
+            compose_surface(self.w3, self.w2),
+            compose_surface(self.w4, self.w1),
+            compose_surface(self.w4, self.w2),
+        )
+
+
+def composed_row(
+    cup: SurfaceCobordism, cap: SurfaceCobordism, index: Mapping[ConnectedClass, int]
+) -> list[int] | None:
+    """Basis row of the closed composite of cup then cap, or None when a
+    class leaves the basis."""
+    return _count_row(surface_class(compose_surface(cup, cap)).components, index)
+
+
+def surface_relator_vector(
+    inst: SurfaceRelationInstance, index: Mapping[ConnectedClass, int]
+) -> list[int] | None:
+    """Exponent row of the relator over the generator basis.
+
+    Returns None when some composite contains a component outside the
+    basis, in which case the instance cannot be expressed and is skipped.
+    """
+    row = [0] * len(index)
+    for sign, w in zip((1, -1, -1, 1), inst.composites()):
+        vec = _count_row(surface_class(w).components, index)
+        if vec is None:
+            return None
+        row = [r + sign * v for r, v in zip(row, vec)]
+    return row
+
+
+def composed_surface_engine(bound: int) -> tuple:
+    """``_relator_engine`` over the same pieces and basis as
+    ``surface_localization_group(bound)``, closing each pair with
+    ``compose_surface``: ``(invariants, classes, relator count, skipped)``."""
+    basis = connected_generators(bound)
+    index = {cls: i for i, cls in enumerate(basis)}
+    levels = []
+    for circles in (("y0",), ("y0", "y1")):
+        levels.append(
+            (
+                _pieces(circles, -bound, as_cap=True),
+                _pieces(circles, -bound, as_cap=False),
+                _pieces(circles, 1, as_cap=True)[0],
+                _pieces(circles, 1, as_cap=False)[0],
+                lambda cup, cap: composed_row(cup, cap, index),
+            )
+        )
+    return _relator_engine(levels, len(basis), index[S2])
+
+
+def tree_nodes(tree: Tree) -> int:
+    return 1 + sum(tree_nodes(child) for child in tree)
+
+
+def tree_signed_count(tree: Tree, depth: int = 0) -> int:
+    """Nodes at even depth minus nodes at odd depth."""
+    sign = 1 if depth % 2 == 0 else -1
+    return sign + sum(tree_signed_count(child, depth + 1) for child in tree)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -398,6 +399,17 @@ class TestReportShape:
     def test_main_golden_stdout(self, argv, stdout, capsys):
         assert main(argv) == 0
         assert capsys.readouterr().out == stdout
+
+    def test_surface_closings_are_budgeted(self, capsys, monkeypatch):
+        monkeypatch.delenv("COBCAT_MAX_CELLS", raising=False)
+        start = time.perf_counter()
+        assert main(["localize", "surfaces", "--max-chi", "40"]) == 2
+        assert time.perf_counter() - start < 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert "--max-chi 40" in error and "15417320 cup-cap pairs" in error
+        assert "ceiling of 1000000" in error and "COBCAT_MAX_CELLS" in error
+        assert main(["localize", "surfaces", "--max-chi", "8"]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["group"] == "Z"
 
     def test_main_exit_codes(self, files, capsys):
         assert main(["cob1", "f", files["circle"]]) == 0

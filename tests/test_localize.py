@@ -12,10 +12,10 @@ from cobcat.fincat import (
     parallel_pair,
     subset_poset_category,
 )
+from cobcat.limits import ResourceLimitExceeded
 from cobcat.localize import (
     LocalizationPresentation,
     RelationInstance,
-    SurfaceRelationInstance,
     abelian_loop_classes,
     closed_diagram_forest,
     connected_generators,
@@ -26,13 +26,20 @@ from cobcat.localize import (
     planar_localization_data,
     relation_word,
     surface_localization_group,
+    word_class,
+    _pieces,
+    _shape,
+    _shape_closer,
+)
+from cobcat.nerve import fundamental_group, pi0
+from localize_oracles import (
+    SurfaceRelationInstance,
+    composed_row,
+    composed_surface_engine,
     surface_relator_vector,
     tree_nodes,
     tree_signed_count,
-    word_class,
-    _pieces,
 )
-from cobcat.nerve import fundamental_group, pi0
 
 
 def full_lattice_classes(rows, width, positive):
@@ -275,6 +282,68 @@ class TestSurfaceLocalizationGroup:
         engine = surface_localization_group(bound)
         assert engine.basis == basis
         assert engine.classes == full_lattice_classes(rows, len(basis), index[S2])
+
+    @pytest.mark.parametrize("bound", range(9))
+    def test_matches_composed_closings(self, bound):
+        # The same engine run, closing each pair with compose_surface.
+        invariants, classes, relator_count, skipped = composed_surface_engine(bound)
+        res = surface_localization_group(bound)
+        assert res.invariants == invariants
+        assert res.classes == classes
+        assert res.relator_count == relator_count
+        assert res.skipped_instances == skipped
+
+    def test_closing_count_is_budgeted(self, monkeypatch):
+        for bound in range(11):
+            pairs = sum(
+                len(_pieces(circles, -bound, True)) * len(_pieces(circles, -bound, False))
+                for circles in (("y0",), ("y0", "y1"))
+            )
+            if bound < 3:  # the ceiling is inclusive
+                monkeypatch.setenv("COBCAT_MAX_CELLS", str(pairs))
+                surface_localization_group(bound)
+            monkeypatch.setenv("COBCAT_MAX_CELLS", str(pairs - 1))
+            with pytest.raises(ResourceLimitExceeded) as info:
+                surface_localization_group(bound)
+            message = str(info.value)
+            assert f"--max-chi {bound} " in message and f" {pairs} " in message
+            assert f"ceiling of {pairs - 1} " in message and "COBCAT_MAX_CELLS" in message
+
+
+class TestShapeClosing:
+    def test_matches_compose_surface_on_every_pair(self):
+        # Every cup-cap pair over one and two circles at bound 3, against
+        # the class of the composite that compose_surface builds.
+        basis = connected_generators(3)
+        index = {cls: i for i, cls in enumerate(basis)}
+        close = _shape_closer(index)
+        odd_cycles = 0
+        for circles in (("y0",), ("y0", "y1")):
+            for cap in _pieces(circles, -3, as_cap=True):
+                for cup in _pieces(circles, -3, as_cap=False):
+                    want = composed_row(cup, cap, index)
+                    assert close(_shape(cup, circles), _shape(cap, circles)) == want
+                    orientable = all(p.orientable for p in cup.components + cap.components)
+                    if orientable and want and any(want[index[c]] for c in basis if not c[0]):
+                        odd_cycles += 1
+        # Orientable two-holed pieces with opposite eps glue to a Klein
+        # bottle or worse: an odd cycle of parity constraints.
+        assert odd_cycles > 0
+
+    def test_shape_of_a_two_circle_piece(self):
+        twisted = surface(
+            (), ("y0", "y1"), [component(True, 1, (), ("y0", "y1"), {"y1": -1})]
+        )
+        assert _shape(twisted, ("y0", "y1")) == (((True, ((0, 1), (1, -1))),), (-2,))
+        pair = surface(
+            ("y0", "y1"),
+            (),
+            [component(False, 1, ("y0",), ()), component(True, 0, ("y1",), ())],
+        )
+        assert _shape(pair, ("y0", "y1")) == (
+            ((False, ((0, 0),)), (True, ((1, 1),))),
+            (0, 1),
+        )
 
 
 class TestPlanarModel:
