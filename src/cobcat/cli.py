@@ -15,11 +15,12 @@ import functools
 import json
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 from . import cob1, cob2, fincat, localize, monoidal, nerve
 from .exactmath import abelianize
-from .limits import ResourceLimitExceeded
+from .limits import ResourceLimitExceeded, check_count
 
 
 @dataclass(frozen=True)
@@ -263,11 +264,18 @@ def _run_relations(args) -> object:
         bases = [args.base]
     else:
         bases = [component[0] for component in nerve.pi0(c)]
-    checked = 0
+    components = [sorted(nerve.component_objects(c, base)) for base in bases]
+    homs = Counter(zip(c.src, c.tgt))
+    checked = sum(
+        homs[y, x] ** 2 * homs[x, y] ** 2
+        for objects in components
+        for x in objects
+        for y in objects
+    )
+    check_count(checked, f"relations would check {checked} commuting squares")
     nonvanishing = 0
-    for base in bases:
+    for base, objects in zip(bases, components):
         _, classes = localize.abelian_loop_classes(c, base)
-        objects = sorted(nerve.component_objects(c, base))
         for x in objects:
             for y in objects:
                 forth = c.hom(y, x)
@@ -279,7 +287,6 @@ def _run_relations(args) -> object:
                                 inst = localize.RelationInstance(c, w1, w2, w3, w4)
                                 word = localize.relation_word(inst)
                                 vec = localize.word_class(classes, word)
-                                checked += 1
                                 if any(vec):
                                     nonvanishing += 1
     return {

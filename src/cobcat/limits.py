@@ -1,8 +1,8 @@
 """Shared resource-ceiling plumbing.
 
-Long-running enumerations (nerve cells, equivalence searches, surface
-closings) refuse to grow past a configurable ceiling instead of exhausting
-memory or time.  The CLI maps
+Long-running enumerations (nerve cells, equivalence searches, surface and
+planar closings, commuting squares) refuse to grow past a configurable
+ceiling instead of exhausting memory or time.  The CLI maps
 :class:`ResourceLimitExceeded` to exit code 2.
 """
 
@@ -32,3 +32,13 @@ def max_cells_default() -> int:
     except ValueError:
         return DEFAULT_MAX_CELLS
     return value if value > 0 else DEFAULT_MAX_CELLS
+
+
+def check_count(count: int, work: str) -> None:
+    """Refuse ``work``, a phrase naming the count, when a closed-form count
+    passes the ceiling, before anything is enumerated."""
+    ceiling = max_cells_default()
+    if count > ceiling:
+        raise ResourceLimitExceeded(
+            f"{work}, over the ceiling of {ceiling} ({MAX_CELLS_ENV})"
+        )

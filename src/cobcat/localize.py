@@ -9,13 +9,16 @@ categories: closed surfaces (detected by Euler characteristic) and closed
 planar 1-manifold diagrams (detected by the signed circle count).
 
 Surfaces are closed from their pieces' shapes (orientability, boundary signs
-and chi per component), memoized per shape pair; the closing count is held
-to the cell ceiling before any piece is built.
+and chi per component), memoized per shape pair, and only the cup-cap pairs
+that can add to the relator lattice are closed.  Planar circles are nested in
+one left-to-right sweep along the line.  Both engines hold their closing count
+to the cell ceiling before they enumerate anything.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 from typing import Iterable, Mapping, Sequence
 
 from .cob2 import (
@@ -37,7 +40,7 @@ from .exactmath import (
     reduce_lattice_rows,
 )
 from .fincat import FinCat, Functor, check_functor, is_groupoid
-from .limits import MAX_CELLS_ENV, ResourceLimitExceeded, max_cells_default
+from .limits import check_count
 from .nerve import component_objects, fundamental_group, pi0
 
 
@@ -460,12 +463,18 @@ def surface_localization_group(max_complexity: int) -> SurfaceLocalizationResult
     every piece against the all-discs reference: a general instance row is
     the signed sum of the four reference rows of its corners, and whenever
     the instance's composites stay in the basis so do those of the reference
-    rows, so the relator lattice is unchanged.  Each closing is computed
-    from the two pieces' shapes, not by composing them.  Instances whose
-    composite falls outside the generator basis are skipped and counted.
+    rows, so the relator lattice is unchanged.  Over two circles a cap of
+    two one-holed components D, E meets connected cups only.  Against a cup
+    of one-holed components A, B it would close to (A u D) + (B u E), and
+    the two-disc reference splits the same way, so that row is the sum
+    R1(A, D) + R1(B, E) of two one-circle rows, and it is skipped exactly
+    when one of those is.  Each closing is computed from the two pieces'
+    shapes, not by composing them.  Instances whose composite falls outside
+    the generator basis are skipped and counted.
     The free coordinate is normalized so the sphere class is positive.
     A closing count over the cell ceiling is refused before any piece is
-    built.
+    built; the count is that of every cup-cap pair, so it over-counts the
+    pairs closed.
     """
     if max_complexity < 0:
         raise ValueError("max_complexity must be nonnegative")
@@ -473,24 +482,24 @@ def surface_localization_group(max_complexity: int) -> SurfaceLocalizationResult
     # them, close in s^2 pairs over one circle and (c + s^2)^2 over two.
     s = (max_complexity + 1) // 2 + max_complexity + 2
     c = 2 * (max_complexity // 2 + 1) + max_complexity
-    count, ceiling = s * s + (c + s * s) ** 2, max_cells_default()
-    if count > ceiling:
-        raise ResourceLimitExceeded(
-            f"--max-chi {max_complexity} would close {count} cup-cap pairs, over "
-            f"the ceiling of {ceiling} ({MAX_CELLS_ENV})"
-        )
+    count = s * s + (c + s * s) ** 2
+    check_count(count, f"--max-chi {max_complexity} would close {count} cup-cap pairs")
     basis = connected_generators(max_complexity)
     index = {cls: i for i, cls in enumerate(basis)}
     close = _shape_closer(index)
     levels = []
     for n_circles in (1, 2):
         circles = tuple(f"y{i}" for i in range(n_circles))
-        shapes = [
+        caps, cups, ref_caps, ref_cups = (
             [_shape(piece, circles) for piece in _pieces(circles, min_chi, as_cap)]
             for min_chi in (-max_complexity, 1)
             for as_cap in (True, False)
-        ]
-        levels.append((shapes[0], shapes[1], shapes[2][0], shapes[3][0], close))
+        )
+        # A cap of one one-holed component per circle meets connected cups only.
+        connected_caps, split_caps = ([s for s in caps if len(s[0]) == k] for k in (1, 2))
+        connected_cups = [s for s in cups if len(s[0]) == 1]
+        for level_caps, level_cups in ((connected_caps, cups), (split_caps, connected_cups)):
+            levels.append((level_caps, level_cups, ref_caps[0], ref_cups[0], close))
     invariants, classes, relator_count, skipped = _relator_engine(
         levels, len(basis), index[S2]
     )
@@ -527,65 +536,58 @@ def closed_diagram_forest(
     cup_pairs: Sequence[tuple[int, int]], cap_pairs: Sequence[tuple[int, int]]
 ) -> tuple[Tree, ...]:
     """Nesting forest of the closed diagram formed by a cup matching below
-    the line and a cap matching above it.
+    the line and a cap matching above it, both on the points 0..m-1.
 
-    Circles alternate cup and cap arcs.  A circle Y sits inside X exactly
-    when a downward ray from just right of Y's leftmost point crosses an odd
-    number of X's cup arcs.
+    One left-to-right sweep along the line keeps a stack of the circles
+    around the current stretch of it; those form a chain, innermost on top.
+    Crossing the line at a point leaves or enters that point's circle, so
+    the circle is either the top, which is popped, or becomes the new top.
+    A circle is first met at its leftmost point, where it is traced through
+    its alternating cup and cap arcs, and its parent is the top it is
+    pushed on.
     """
-    cup_of = {}
-    for p, q in cup_pairs:
-        cup_of[p] = q
-        cup_of[q] = p
-    cap_of = {}
-    for p, q in cap_pairs:
-        cap_of[p] = q
-        cap_of[q] = p
-    if set(cup_of) != set(cap_of):
-        raise ValueError("cup and cap matchings cover different points")
+    m = 2 * len(cup_pairs)
+    points = range(m)
+    every = set(points)
+    if (
+        2 * len(cap_pairs) != m
+        or set().union(*cup_pairs) != every
+        or set().union(*cap_pairs) != every
+    ):
+        raise ValueError("cup and cap matchings must cover the same points 0..m-1")
+    cup_of = [0] * m
+    cap_of = [0] * m
+    for pairs, partner in ((cup_pairs, cup_of), (cap_pairs, cap_of)):
+        for p, q in pairs:
+            partner[p] = q
+            partner[q] = p
 
-    circles: list[list[tuple[int, int]]] = []  # cup arcs per circle
-    unseen = set(cup_of)
-    while unseen:
-        start = min(unseen)
-        arcs = []
-        point = start
-        while True:
-            partner = cup_of[point]
-            arcs.append((min(point, partner), max(point, partner)))
-            unseen.discard(point)
-            unseen.discard(partner)
-            point = cap_of[partner]
-            if point == start:
-                break
-        circles.append(arcs)
+    circle = [-1] * m
+    kids: list[list[int]] = [[]]  # kids[0] holds the outermost circles
+    stack = [0]
+    for point in points:
+        c = circle[point]
+        if c < 0:
+            c = len(kids)
+            kids[stack[-1]].append(c)
+            kids.append([])
+            p = point
+            while circle[p] < 0:
+                q = cup_of[p]
+                circle[p] = circle[q] = c
+                p = cap_of[q]
+            stack.append(c)
+        elif c == stack[-1]:
+            stack.pop()
+        else:
+            stack.append(c)
 
-    lefts = [min(p for arc in arcs for p in arc) for arcs in circles]
-    n = len(circles)
-    parents: list[list[int]] = [[] for _ in range(n)]
-    for y in range(n):
-        for x in range(n):
-            if x == y:
-                continue
-            crossings = sum(1 for p, q in circles[x] if p < lefts[y] < q)
-            if crossings % 2:
-                parents[y].append(x)
-    depth = [len(ps) for ps in parents]
-
-    def build(node: int) -> Tree:
-        children = [
-            other
-            for other in parents_inv[node]
-            if depth[other] == depth[node] + 1
-        ]
-        return tuple(sorted(build(child) for child in children))
-
-    parents_inv: list[list[int]] = [[] for _ in range(n)]
-    for y in range(n):
-        for x in parents[y]:
-            parents_inv[x].append(y)
-    roots = [i for i in range(n) if depth[i] == 0]
-    return tuple(sorted(build(root) for root in roots))
+    # A child is met after its parent, so trees build from the last circle.
+    trees: list[Tree] = [()] * len(kids)
+    for c in range(len(kids) - 1, -1, -1):
+        if kids[c]:
+            trees[c] = tuple(sorted([trees[k] for k in kids[c]]))
+    return trees[0]
 
 
 def enumerate_trees(max_nodes: int) -> list[Tree]:
@@ -645,10 +647,17 @@ def planar_localization_data(max_points: int = 8) -> PlanarLocalizationData:
     points; composites are nesting forests whose trees generate the
     endomorphisms of the empty object.  Relators are taken against the
     all-adjacent reference matching; any commuting square factors through
-    such rows, so the lattice is not thinned by the restriction.
+    such rows, so the lattice is not thinned by the restriction.  A closing
+    count over the cell ceiling is refused before any matching is
+    enumerated.
     """
     if max_points < 2 or max_points % 2:
         raise ValueError("max_points must be a positive even number")
+    # Catalan(m/2) crossingless matchings on m points, each closed against each.
+    count = sum(
+        (comb(m, m // 2) // (m // 2 + 1)) ** 2 for m in range(2, max_points + 1, 2)
+    )
+    check_count(count, f"--max-points {max_points} would close {count} cup-cap pairs")
     basis = tuple(enumerate_trees(max_points // 2))
     index = {tree: i for i, tree in enumerate(basis)}
 

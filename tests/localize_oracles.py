@@ -3,13 +3,15 @@
 The surface engine closes cup-cap pairs from piece shapes; these helpers
 close them by building the composite with ``cob2.compose_surface`` and
 classifying it, the way the engine did before.  The tree counts are the
-planar classes the planar engine must reproduce.
+planar classes the planar engine must reproduce, and ``ray_parity_forest``
+nests planar circles by pairwise ray parities, against which the sweep in
+``closed_diagram_forest`` is checked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from cobcat.cob2 import S2, ConnectedClass, SurfaceCobordism, compose_surface, surface_class
 from cobcat.localize import Tree, _count_row, _pieces, _relator_engine, connected_generators
@@ -71,23 +73,39 @@ def surface_relator_vector(
     return row
 
 
-def composed_surface_engine(bound: int) -> tuple:
+def composed_surface_engine(bound: int, all_pairs: bool = True) -> tuple:
     """``_relator_engine`` over the same pieces and basis as
     ``surface_localization_group(bound)``, closing each pair with
-    ``compose_surface``: ``(invariants, classes, relator count, skipped)``."""
+    ``compose_surface``: ``(invariants, classes, relator count, skipped)``.
+
+    With ``all_pairs`` every two-circle cap meets every two-circle cup;
+    without it a disconnected cap meets only connected cups, the pairs the
+    engine closes."""
     basis = connected_generators(bound)
     index = {cls: i for i, cls in enumerate(basis)}
+
+    def level(caps, cups, circles):
+        return (
+            caps,
+            cups,
+            _pieces(circles, 1, as_cap=True)[0],
+            _pieces(circles, 1, as_cap=False)[0],
+            lambda cup, cap: composed_row(cup, cap, index),
+        )
+
     levels = []
     for circles in (("y0",), ("y0", "y1")):
-        levels.append(
-            (
-                _pieces(circles, -bound, as_cap=True),
-                _pieces(circles, -bound, as_cap=False),
-                _pieces(circles, 1, as_cap=True)[0],
-                _pieces(circles, 1, as_cap=False)[0],
-                lambda cup, cap: composed_row(cup, cap, index),
-            )
+        caps = _pieces(circles, -bound, as_cap=True)
+        cups = _pieces(circles, -bound, as_cap=False)
+        if all_pairs or len(circles) == 1:
+            levels.append(level(caps, cups, circles))
+            continue
+        connected_caps, split_caps, connected_cups = (
+            [piece for piece in pieces if len(piece.components) == k]
+            for pieces, k in ((caps, 1), (caps, 2), (cups, 1))
         )
+        levels.append(level(connected_caps, cups, circles))
+        levels.append(level(split_caps, connected_cups, circles))
     return _relator_engine(levels, len(basis), index[S2])
 
 
@@ -99,3 +117,69 @@ def tree_signed_count(tree: Tree, depth: int = 0) -> int:
     """Nodes at even depth minus nodes at odd depth."""
     sign = 1 if depth % 2 == 0 else -1
     return sign + sum(tree_signed_count(child, depth + 1) for child in tree)
+
+
+def ray_parity_forest(
+    cup_pairs: Sequence[tuple[int, int]], cap_pairs: Sequence[tuple[int, int]]
+) -> tuple[Tree, ...]:
+    """Nesting forest of the closed diagram formed by a cup matching below
+    the line and a cap matching above it, by pairwise ray parities: the
+    O(circles^2 * arcs) test that ``closed_diagram_forest`` replaced.
+
+    Circles alternate cup and cap arcs.  A circle Y sits inside X exactly
+    when a downward ray from just right of Y's leftmost point crosses an odd
+    number of X's cup arcs.
+    """
+    cup_of = {}
+    for p, q in cup_pairs:
+        cup_of[p] = q
+        cup_of[q] = p
+    cap_of = {}
+    for p, q in cap_pairs:
+        cap_of[p] = q
+        cap_of[q] = p
+    if set(cup_of) != set(cap_of):
+        raise ValueError("cup and cap matchings cover different points")
+
+    circles: list[list[tuple[int, int]]] = []  # cup arcs per circle
+    unseen = set(cup_of)
+    while unseen:
+        start = min(unseen)
+        arcs = []
+        point = start
+        while True:
+            partner = cup_of[point]
+            arcs.append((min(point, partner), max(point, partner)))
+            unseen.discard(point)
+            unseen.discard(partner)
+            point = cap_of[partner]
+            if point == start:
+                break
+        circles.append(arcs)
+
+    lefts = [min(p for arc in arcs for p in arc) for arcs in circles]
+    n = len(circles)
+    parents: list[list[int]] = [[] for _ in range(n)]
+    for y in range(n):
+        for x in range(n):
+            if x == y:
+                continue
+            crossings = sum(1 for p, q in circles[x] if p < lefts[y] < q)
+            if crossings % 2:
+                parents[y].append(x)
+    depth = [len(ps) for ps in parents]
+
+    def build(node: int) -> Tree:
+        children = [
+            other
+            for other in parents_inv[node]
+            if depth[other] == depth[node] + 1
+        ]
+        return tuple(sorted(build(child) for child in children))
+
+    parents_inv: list[list[int]] = [[] for _ in range(n)]
+    for y in range(n):
+        for x in parents[y]:
+            parents_inv[x].append(y)
+    roots = [i for i in range(n) if depth[i] == 0]
+    return tuple(sorted(build(root) for root in roots))

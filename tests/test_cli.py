@@ -350,6 +350,14 @@ class TestRelations:
         based = ok("relations", "--base", "a", files["parallel"])
         assert based == full
 
+    def test_squares_are_budgeted(self, files, capsys, monkeypatch):
+        monkeypatch.setenv("COBCAT_MAX_CELLS", "80")
+        assert main(["relations", files["cyclic3"]]) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert "81 commuting squares" in error and "ceiling of 80" in error
+        monkeypatch.setenv("COBCAT_MAX_CELLS", "81")
+        assert ok("relations", files["cyclic3"])["checked"] == 81
+
 
 class TestReportShape:
     def test_unknown_command(self):
@@ -410,6 +418,17 @@ class TestReportShape:
         assert "ceiling of 1000000" in error and "COBCAT_MAX_CELLS" in error
         assert main(["localize", "surfaces", "--max-chi", "8"]) == 0
         assert json.loads(capsys.readouterr().out)["result"]["group"] == "Z"
+
+    def test_planar_closings_are_budgeted(self, capsys, monkeypatch):
+        monkeypatch.delenv("COBCAT_MAX_CELLS", raising=False)
+        start = time.perf_counter()
+        assert main(["picard", "cob1", "--max-points", "24"]) == 2
+        assert time.perf_counter() - start < 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert "--max-points 24" in error and "47032778955 cup-cap pairs" in error
+        assert "ceiling of 1000000" in error and "COBCAT_MAX_CELLS" in error
+        assert main(["picard", "cob1", "--max-points", "10"]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["pi1"] == {"rank": 1, "torsion": []}
 
     def test_main_exit_codes(self, files, capsys):
         assert main(["cob1", "f", files["circle"]]) == 0

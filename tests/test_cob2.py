@@ -21,18 +21,14 @@ from cobcat.cob2 import (
     component,
     compose_surface,
     connected_sum,
-    copants,
     disc,
     euler_tqft,
-    forget_orientation,
     identity_surface,
     is_k_connected,
     is_nullbordant,
     klein_endo,
     oriented_class,
-    oriented_point_class,
     outgoing_pi0_surjective,
-    pants,
     random_surface,
     surface,
     surface_class,
@@ -42,6 +38,7 @@ from cobcat.cob2 import (
     unoriented_class,
 )
 from cobcat.exactmath import AbelianInvariants
+from cob2_helpers import copants, forget_orientation, oriented_point_class, pants
 
 
 def random_ids(rng, k, prefix):

@@ -36,6 +36,7 @@ from localize_oracles import (
     SurfaceRelationInstance,
     composed_row,
     composed_surface_engine,
+    ray_parity_forest,
     surface_relator_vector,
     tree_nodes,
     tree_signed_count,
@@ -285,13 +286,78 @@ class TestSurfaceLocalizationGroup:
 
     @pytest.mark.parametrize("bound", range(9))
     def test_matches_composed_closings(self, bound):
-        # The same engine run, closing each pair with compose_surface.
-        invariants, classes, relator_count, skipped = composed_surface_engine(bound)
+        # The engine run over every pair, closing each with compose_surface,
+        # fixes the group; the run over the pairs the engine closes fixes
+        # its row and skip counts.
+        invariants, classes, _, _ = composed_surface_engine(bound)
+        _, _, relator_count, skipped = composed_surface_engine(bound, all_pairs=False)
         res = surface_localization_group(bound)
         assert res.invariants == invariants
         assert res.classes == classes
         assert res.relator_count == relator_count
         assert res.skipped_instances == skipped
+
+    @pytest.mark.parametrize("bound", range(7))
+    def test_split_pairs_are_sums_of_one_circle_rows(self, bound):
+        # A disconnected cup (A, B) closes against a disconnected cap (D, E)
+        # to (A u D) + (B u E), and the two-disc reference splits the same
+        # way, so the row is R1(A, D) + R1(B, E): two rows the one-circle
+        # level emits.  The engine closes no such pair.
+        index = {cls: i for i, cls in enumerate(connected_generators(bound))}
+
+        def relator_rows(caps, cups):
+            """Row of each cap (outer) against each cup against the
+            all-disc reference, or None off the basis."""
+            circles = caps[0].src
+            ref_cap, ref_cup = _pieces(circles, 1, True)[0], _pieces(circles, 1, False)[0]
+            corner = composed_row(ref_cup, ref_cap, index)
+            cup_refs = [composed_row(cup, ref_cap, index) for cup in cups]
+            table = []
+            for cap in caps:
+                cap_ref = composed_row(ref_cup, cap, index)
+                table.append([])
+                for cup, cup_ref in zip(cups, cup_refs):
+                    a = composed_row(cup, cap, index)
+                    if a is not None:
+                        parts = zip(a, cup_ref, cap_ref, corner)
+                        a = [av - bv - cv + dv for av, bv, cv, dv in parts]
+                    table[-1].append(a)
+            return table
+
+        one = ("y0",)
+        singles = _pieces(one, -bound, True)
+        r1 = relator_rows(singles, _pieces(one, -bound, False))
+        position = {
+            (p.components[0].orientable, p.components[0].genus): i for i, p in enumerate(singles)
+        }
+
+        def halves(piece):
+            owner = {(c.in_circles + c.out_circles)[0]: c for c in piece.components}
+            return [position[owner[y].orientable, owner[y].genus] for y in ("y0", "y1")]
+
+        caps, cups = (
+            [p for p in _pieces(("y0", "y1"), -bound, as_cap) if len(p.components) == 2]
+            for as_cap in (True, False)
+        )
+        cup_halves = [halves(cup) for cup in cups]
+        skipped = 0
+        for cap, line in zip(caps, relator_rows(caps, cups)):
+            d, e = halves(cap)
+            for (a, b), row in zip(cup_halves, line):
+                first, second = r1[d][a], r1[e][b]
+                if first is None or second is None:
+                    assert row is None
+                    skipped += 1
+                else:
+                    assert row == [x + y for x, y in zip(first, second)]
+        assert (skipped > 0) == (bound > 0)
+
+    def test_two_circle_reference_is_two_discs(self):
+        two = ("y0", "y1")
+        discs = [component(True, 0, (y,), ()) for y in two]
+        assert _pieces(two, 1, as_cap=True) == [surface(two, (), discs)]
+        discs = [component(True, 0, (), (y,)) for y in two]
+        assert _pieces(two, 1, as_cap=False) == [surface((), two, discs)]
 
     def test_closing_count_is_budgeted(self, monkeypatch):
         for bound in range(11):
@@ -380,6 +446,25 @@ class TestPlanarModel:
         # Matching cups and caps nest all three circles into a chain.
         assert closed_diagram_forest(deep, deep) == ((((),),),)
 
+    def test_forest_sweep_matches_ray_parities(self):
+        pairs = 0
+        for m in range(2, 13, 2):
+            matchings = crossingless_matchings(m)
+            for cup in matchings:
+                for cap in matchings:
+                    assert closed_diagram_forest(cup, cap) == ray_parity_forest(cup, cap)
+                    pairs += 1
+        assert pairs == 19414
+
+    def test_forest_rejects_mismatched_points(self):
+        for cup, cap in (
+            (((0, 1),), ((0, 1), (2, 3))),
+            (((0, 1), (2, 3)), ((0, 3), (1, 4))),
+        ):
+            for forest in (closed_diagram_forest, ray_parity_forest):
+                with pytest.raises(ValueError):
+                    forest(cup, cap)
+
     def test_signed_counts(self):
         assert tree_signed_count(()) == 1
         assert tree_signed_count(((),)) == 0
@@ -443,6 +528,19 @@ class TestPlanarModel:
     def test_rejects_odd_point_count(self):
         with pytest.raises(ValueError):
             planar_localization_data(7)
+
+    def test_closing_count_is_budgeted(self, monkeypatch):
+        for points in range(4, 13, 2):
+            pairs = sum(len(crossingless_matchings(m)) ** 2 for m in range(2, points + 1, 2))
+            if points < 10:  # the ceiling is inclusive
+                monkeypatch.setenv("COBCAT_MAX_CELLS", str(pairs))
+                planar_localization_data(points)
+            monkeypatch.setenv("COBCAT_MAX_CELLS", str(pairs - 1))
+            with pytest.raises(ResourceLimitExceeded) as info:
+                planar_localization_data(points)
+            message = str(info.value)
+            assert f"--max-points {points} " in message and f" {pairs} " in message
+            assert f"ceiling of {pairs - 1} " in message and "COBCAT_MAX_CELLS" in message
 
     def test_reference_rows_span_every_commuting_square(self):
         # Oracle: the relator a - b - c + d of every cap pair w1, w2 and cup
