@@ -10,8 +10,7 @@ ordered word of cup and cap events; it carries strictly more information
 Matchings compose by gluing along the shared boundary, with the same
 :class:`~cobcat.exactmath.UnionFind` that glues surfaces in ``cob2``: each
 arc joins two points, a class reaching the outer boundary is an arc of the
-composite and a class inside the middle is a new circle.  ``to_matching``
-keeps its own sweep, so it stays an independent check of that gluing.
+composite and a class inside the middle is a new circle.
 
 The sweep computing ``f`` colors the complement of the diagram: a gap lying
 above an odd number of strands is red, and ``f`` is the Euler characteristic
@@ -25,7 +24,6 @@ counting pixel components and holes on an exact integer grid.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -147,19 +145,6 @@ def tensor_matching(w: Matching1D, u: Matching1D) -> Matching1D:
     return matching(m, n, pairs, w.circles + u.circles)
 
 
-def act_boundary(w: Matching1D, perm) -> Matching1D:
-    """Relabel incoming points by a permutation (perm[i] = new label of i)."""
-    perm = tuple(perm)
-    if sorted(perm) != list(range(w.m)):
-        raise ValueError("perm must be a bijection of the incoming points")
-
-    def relabel(p: int) -> int:
-        return perm[p] if p < w.m else p
-
-    pairs = [(relabel(a), relabel(b)) for a, b in w.pairs]
-    return matching(w.m, w.n, pairs, w.circles)
-
-
 def euler_functor_1d(w: Matching1D) -> int:
     """Euler value of a 1-cobordism relative to its incoming boundary.
 
@@ -237,16 +222,8 @@ def diagram_from_json(data: dict) -> PlanarDiagram:
     return w
 
 
-def planar_identity(m: int) -> PlanarDiagram:
-    return PlanarDiagram(m, ())
-
-
 def planar_circle() -> PlanarDiagram:
     return PlanarDiagram(0, ((CUP, 0), (CAP, 0)))
-
-
-def planar_circles(k: int) -> PlanarDiagram:
-    return PlanarDiagram(0, ((CUP, 0), (CAP, 0)) * k)
 
 
 def planar_nested_pair() -> PlanarDiagram:
@@ -258,66 +235,6 @@ def compose_planar(w: PlanarDiagram, w2: PlanarDiagram) -> PlanarDiagram:
     if w.n != w2.m:
         raise ValueError(f"interface mismatch: {w.n} outgoing vs {w2.m} incoming")
     return PlanarDiagram(w.m, w.slices + w2.slices)
-
-
-def to_matching(w: PlanarDiagram) -> Matching1D:
-    """Forget the embedding: trace arcs through the word.
-
-    Loose ends are tracked as nodes; ``other`` holds the far end of the arc
-    a node terminates, either another node or an anchored boundary point.
-    """
-    counter = itertools.count()
-    other: dict[int, object] = {}
-    strands: list[int] = []
-    finished: list[tuple] = []
-    circles = 0
-    for i in range(w.m):
-        node = next(counter)
-        other[node] = ("src", i)
-        strands.append(node)
-    for kind, i in w.slices:
-        if kind == CUP:
-            a, b = next(counter), next(counter)
-            other[a] = b
-            other[b] = a
-            strands[i:i] = [a, b]
-        else:
-            a = strands.pop(i)
-            b = strands.pop(i)
-            if other[a] == b:
-                circles += 1
-                continue
-            x, y = other[a], other[b]
-            x_node = isinstance(x, int)
-            y_node = isinstance(y, int)
-            if x_node:
-                other[x] = y
-            if y_node:
-                other[y] = x
-            if not x_node and not y_node:
-                finished.append((x, y))
-
-    position = {node: j for j, node in enumerate(strands)}
-    pairs: list[Pair] = []
-
-    def label(anchor) -> int:
-        tag, idx = anchor
-        return idx if tag == "src" else w.m + idx
-
-    for x, y in finished:
-        pairs.append((label(x), label(y)))
-    done: set[int] = set()
-    for j, node in enumerate(strands):
-        if node in done:
-            continue
-        done.add(node)
-        end = other[node]
-        if isinstance(end, int):
-            done.add(end)
-            pairs.append((label(("tgt", j)), label(("tgt", position[end]))))
-        else:
-            pairs.append((label(end), label(("tgt", j))))
-    return matching(w.m, len(strands), pairs, circles)
 
 
 def f_invariant(w: PlanarDiagram) -> int:
@@ -338,13 +255,6 @@ def f_invariant(w: PlanarDiagram) -> int:
             if i % 2 == 1:
                 merges += 1
     return births - merges
-
-
-def functor_to_D(w: PlanarDiagram) -> tuple[int, int]:
-    """(boundary size mod 2, f value): the target groupoid is Z/2 x Z."""
-    if w.m % 2 != w.n % 2:
-        raise ValueError("incoming and outgoing parities must agree")
-    return (w.m % 2, f_invariant(w))
 
 
 def reduce_endomorphism(w: PlanarDiagram) -> int:
@@ -466,57 +376,6 @@ def f_invariant_grid(w: PlanarDiagram) -> int:
             runs += 1
         prev = cell
     return chi - runs
-
-
-def commute_events(w: PlanarDiagram, t: int) -> PlanarDiagram | None:
-    """Swap the events at slices t, t+1 when their footprints are distant.
-
-    Returns the reindexed word, or None when the events are adjacent or
-    interleaved (|i - j| < 2 in the intermediate numbering).
-    """
-    if not 0 <= t < len(w.slices) - 1:
-        raise ValueError("t must address a consecutive slice pair")
-    (ka, i), (kb, j) = w.slices[t], w.slices[t + 1]
-    if abs(i - j) < 2:
-        return None
-    # The lower event shifts the upper one by the strands it adds or removes.
-    if j > i:
-        swapped = ((kb, j - _STRANDS[ka]), (ka, i))
-    else:
-        swapped = ((kb, j), (ka, i + _STRANDS[kb]))
-    return PlanarDiagram(w.m, w.slices[:t] + swapped + w.slices[t + 2 :])
-
-
-def cancel_zigzag(w: PlanarDiagram, t: int) -> PlanarDiagram | None:
-    """Delete a cup at slice t immediately undone by a cap at t+1.
-
-    The cancelling patterns are cap index = cup index - 1 or + 1; the strand
-    threads through the s-bend and comes out straight.
-    """
-    if not 0 <= t < len(w.slices) - 1:
-        raise ValueError("t must address a consecutive slice pair")
-    (ka, i), (kb, j) = w.slices[t], w.slices[t + 1]
-    if ka != CUP or kb != CAP:
-        return None
-    if j not in (i - 1, i + 1):
-        return None
-    return PlanarDiagram(w.m, w.slices[:t] + w.slices[t + 2 :])
-
-
-def insert_zigzag(w: PlanarDiagram, t: int, i: int, up: bool) -> PlanarDiagram:
-    """Insert a cancelling cup/cap pair before slice t (isotopic to w)."""
-    if not 0 <= t <= len(w.slices):
-        raise ValueError("insertion point out of range")
-    count = w.counts()[t]
-    if up:
-        pair = ((CUP, i), (CAP, i + 1))
-        if not 0 <= i <= count - 1:
-            raise ValueError("zigzag needs a strand above the cup")
-    else:
-        pair = ((CUP, i), (CAP, i - 1))
-        if not 1 <= i <= count:
-            raise ValueError("zigzag needs a strand below the cup")
-    return PlanarDiagram(w.m, w.slices[:t] + pair + w.slices[t:])
 
 
 def enumerate_words(m: int, max_len: int):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactmath import AbelianInvariants, UnionFind, quotient_group, strict_int
+from .exactmath import AbelianInvariants, UnionFind, json_array, quotient_group, strict_int
 
 EpsEntry = tuple[str, str, int]
 
@@ -293,50 +293,6 @@ def outgoing_pi0_surjective(w: SurfaceCobordism) -> bool:
     return image == set(range(len(w.components)))
 
 
-def act_boundary(
-    w: SurfaceCobordism,
-    src_perm=None,
-    tgt_perm=None,
-    reflect_src=(),
-    reflect_tgt=(),
-) -> SurfaceCobordism:
-    """Reparametrize boundary circles: rename by bijections and/or reflect.
-
-    A reflection flips the sign of that circle on its (orientable) piece;
-    on non-orientable pieces it is invisible.  Signs re-canonicalize, so
-    reflecting every circle of a piece returns the same morphism.
-    """
-    src_map = {c: c for c in w.src}
-    src_map.update(dict(src_perm or {}))
-    tgt_map = {c: c for c in w.tgt}
-    tgt_map.update(dict(tgt_perm or {}))
-    new_src = tuple(src_map[c] for c in w.src)
-    new_tgt = tuple(tgt_map[c] for c in w.tgt)
-    if sorted(new_src) != sorted(w.src) or sorted(new_tgt) != sorted(w.tgt):
-        raise ValueError("renamings must permute the boundary circle ids")
-    reflect_src = set(reflect_src)
-    reflect_tgt = set(reflect_tgt)
-    if not reflect_src <= set(w.src) or not reflect_tgt <= set(w.tgt):
-        raise ValueError("reflection flags must name boundary circles")
-    comps = []
-    for comp in w.components:
-        new_in = [src_map[c] for c in comp.in_circles]
-        new_out = [tgt_map[c] for c in comp.out_circles]
-        if not comp.orientable or not comp.eps:
-            comps.append(component(comp.orientable, comp.genus, new_in, new_out))
-            continue
-        eps = {}
-        for side, cid, sign in comp.eps:
-            if side == "in":
-                flip = -1 if cid in reflect_src else 1
-                eps[("in", src_map[cid])] = sign * flip
-            else:
-                flip = -1 if cid in reflect_tgt else 1
-                eps[("out", tgt_map[cid])] = sign * flip
-        comps.append(component(True, comp.genus, new_in, new_out, eps))
-    return surface(new_src, new_tgt, comps)
-
-
 @dataclass(frozen=True)
 class ClosedSurfaceClass:
     """Multiset of connected closed classes in canonical sorted form."""
@@ -480,22 +436,14 @@ def surface_from_json(data: dict) -> SurfaceCobordism:
             component(
                 orientable,
                 genus,
-                _json_array(entry.get("in", []), "in"),
-                _json_array(entry.get("out", []), "out"),
+                json_array(entry.get("in", []), "in"),
+                json_array(entry.get("out", []), "out"),
                 entry.get("eps"),
             )
         )
     return surface(
-        tuple(_json_array(data["src"], "src")), tuple(_json_array(data["tgt"], "tgt")), comps
+        tuple(json_array(data["src"], "src")), tuple(json_array(data["tgt"], "tgt")), comps
     )
-
-
-def _json_array(value, key: str) -> list:
-    """``value`` when it is a JSON array; a string is not read as a list of
-    one-letter circle names."""
-    if not isinstance(value, list):
-        raise ValueError(f"{key} must be a JSON array, got {value!r}")
-    return value
 
 
 def random_surface(rng, src, tgt, max_genus: int = 2, closed_extra: int = 1):

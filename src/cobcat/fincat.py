@@ -19,8 +19,10 @@ Every composable pair must appear exactly once in "compose".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
+
+from .exactmath import json_array
 
 
 @dataclass(frozen=True)
@@ -210,173 +212,6 @@ def is_groupoid(c: FinCat) -> tuple[bool, dict[str, str] | None]:
     return True, inverses
 
 
-def product(c: FinCat, d: FinCat) -> FinCat:
-    """Product category; ids are "(a,b)" pairs of the factor ids."""
-
-    def pair(a: str, b: str) -> str:
-        return f"({a},{b})"
-
-    objects = [pair(a, b) for a in c.objects for b in d.objects]
-    morphisms = [
-        (pair(f, g), pair(c.objects[c.src[i]], d.objects[d.src[j]]),
-         pair(c.objects[c.tgt[i]], d.objects[d.tgt[j]]))
-        for i, f in enumerate(c.morphisms)
-        for j, g in enumerate(d.morphisms)
-    ]
-    identities = {
-        pair(a, b): pair(c.morphisms[c.identity[i]], d.morphisms[d.identity[j]])
-        for i, a in enumerate(c.objects)
-        for j, b in enumerate(d.objects)
-    }
-    compose = []
-    for (f1, g1), h1 in c.table.items():
-        for (f2, g2), h2 in d.table.items():
-            compose.append(
-                (
-                    pair(c.morphisms[f1], d.morphisms[f2]),
-                    pair(c.morphisms[g1], d.morphisms[g2]),
-                    pair(c.morphisms[h1], d.morphisms[h2]),
-                )
-            )
-    return build_category(objects, morphisms, identities, compose)
-
-
-def disjoint_union(c: FinCat, d: FinCat, prefixes: tuple[str, str] = ("l:", "r:")) -> FinCat:
-    """Coproduct category; ids get the given prefixes to stay unique."""
-    lp, rp = prefixes
-    objects = [lp + o for o in c.objects] + [rp + o for o in d.objects]
-    morphisms = [
-        (lp + m, lp + c.objects[c.src[i]], lp + c.objects[c.tgt[i]])
-        for i, m in enumerate(c.morphisms)
-    ] + [
-        (rp + m, rp + d.objects[d.src[i]], rp + d.objects[d.tgt[i]])
-        for i, m in enumerate(d.morphisms)
-    ]
-    identities = {
-        lp + o: lp + c.morphisms[c.identity[i]] for i, o in enumerate(c.objects)
-    }
-    identities.update(
-        {rp + o: rp + d.morphisms[d.identity[i]] for i, o in enumerate(d.objects)}
-    )
-    compose = [
-        (lp + c.morphisms[f], lp + c.morphisms[g], lp + c.morphisms[h])
-        for (f, g), h in c.table.items()
-    ] + [
-        (rp + d.morphisms[f], rp + d.morphisms[g], rp + d.morphisms[h])
-        for (f, g), h in d.table.items()
-    ]
-    return build_category(objects, morphisms, identities, compose)
-
-
-@dataclass(frozen=True)
-class Functor:
-    """Object and morphism maps between finite categories."""
-
-    source: FinCat
-    target: FinCat
-    object_map: Mapping[str, str]
-    morphism_map: Mapping[str, str]
-
-
-def check_functor(fun: Functor) -> list[str]:
-    """Exhaustive functoriality check; empty report means lawful."""
-    issues: list[str] = []
-    c, d = fun.source, fun.target
-    for obj in c.objects:
-        if obj not in fun.object_map:
-            issues.append(f"object {obj!r} has no image")
-        elif fun.object_map[obj] not in d.objects:
-            issues.append(f"object {obj!r} maps outside the target")
-    for mor in c.morphisms:
-        if mor not in fun.morphism_map:
-            issues.append(f"morphism {mor!r} has no image")
-        elif fun.morphism_map[mor] not in d.morphisms:
-            issues.append(f"morphism {mor!r} maps outside the target")
-    if issues:
-        return issues
-    omap = {c.object_index(o): d.object_index(v) for o, v in fun.object_map.items()}
-    mmap = {
-        c.morphism_index(m): d.morphism_index(v)
-        for m, v in fun.morphism_map.items()
-    }
-    for f in range(len(c.morphisms)):
-        if d.src[mmap[f]] != omap[c.src[f]] or d.tgt[mmap[f]] != omap[c.tgt[f]]:
-            issues.append(f"image of {c.morphisms[f]!r} has wrong endpoints")
-    for x in range(len(c.objects)):
-        if mmap[c.identity[x]] != d.identity[omap[x]]:
-            issues.append(f"identity of {c.objects[x]!r} not sent to an identity")
-    for (f, g), h in c.table.items():
-        image = d.table.get((mmap[f], mmap[g]))
-        if image != mmap[h]:
-            issues.append(
-                f"composition not preserved on ({c.morphisms[f]!r}, {c.morphisms[g]!r})"
-            )
-    return issues
-
-
-@dataclass(frozen=True)
-class NatTrans:
-    """Components indexed by source-category object ids."""
-
-    source: Functor
-    target: Functor
-    components: Mapping[str, str]
-
-
-def check_nat_trans(nt: NatTrans) -> list[str]:
-    """Exhaustive naturality check; empty report means lawful."""
-    issues: list[str] = []
-    fun, gun = nt.source, nt.target
-    if fun.source is not gun.source or fun.target is not gun.target:
-        return ["the two functors do not share source and target"]
-    c, d = fun.source, fun.target
-    comp: dict[int, int] = {}
-    for obj in c.objects:
-        if obj not in nt.components:
-            issues.append(f"object {obj!r} has no component")
-            continue
-        name = nt.components[obj]
-        if name not in d.morphisms:
-            issues.append(f"component at {obj!r} is not a target morphism")
-            continue
-        k = d.morphism_index(name)
-        x = c.object_index(obj)
-        if d.src[k] != d.object_index(fun.object_map[obj]) or d.tgt[
-            k
-        ] != d.object_index(gun.object_map[obj]):
-            issues.append(f"component at {obj!r} has wrong endpoints")
-        comp[x] = k
-    if issues:
-        return issues
-    for f in range(len(c.morphisms)):
-        x, y = c.src[f], c.tgt[f]
-        ff = d.morphism_index(fun.morphism_map[c.morphisms[f]])
-        gf = d.morphism_index(gun.morphism_map[c.morphisms[f]])
-        left = d.table[(ff, comp[y])]
-        right = d.table[(comp[x], gf)]
-        if left != right:
-            issues.append(f"naturality square fails at {c.morphisms[f]!r}")
-    return issues
-
-
-def to_json(c: FinCat) -> dict:
-    """Wire format dictionary; deterministic ordering throughout."""
-    return {
-        "objects": list(c.objects),
-        "morphisms": [
-            {"id": m, "src": c.objects[c.src[i]], "tgt": c.objects[c.tgt[i]]}
-            for i, m in enumerate(c.morphisms)
-        ],
-        "identities": {
-            obj: c.morphisms[c.identity[i]] for i, obj in enumerate(c.objects)
-        },
-        "compose": sorted(
-            [c.morphisms[f], c.morphisms[g], c.morphisms[h]]
-            for (f, g), h in c.table.items()
-        ),
-    }
-
-
 def from_json(data: dict) -> FinCat:
     """Parse and validate the wire format; raises ValueError on any defect."""
     try:
@@ -386,9 +221,7 @@ def from_json(data: dict) -> FinCat:
         compose = list(data["compose"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed category JSON: {exc}") from None
-    # A string is a sequence too, but its characters are not a list of names.
-    if not isinstance(objects, list):
-        raise ValueError(f"objects must be a JSON array, got {objects!r}")
+    json_array(objects, "objects")
     if not isinstance(identities, dict):
         raise ValueError(f"identities must be a JSON object, got {identities!r}")
     for row in compose:
@@ -442,19 +275,6 @@ def parallel_pair() -> FinCat:
             ("g", "id_b", "g"),
         ],
     )
-
-
-def cyclic_group_category(n: int) -> FinCat:
-    """Z/n as a one-object groupoid; morphism ids are "r0".."r{n-1}"."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    objects = ["*"]
-    morphisms = [(f"r{k}", "*", "*") for k in range(n)]
-    identities = {"*": "r0"}
-    compose = [
-        (f"r{a}", f"r{b}", f"r{(a + b) % n}") for a in range(n) for b in range(n)
-    ]
-    return build_category(objects, morphisms, identities, compose)
 
 
 def poset_category(elements: Sequence[str], leq: Callable[[str, str], bool]) -> FinCat:

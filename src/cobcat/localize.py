@@ -9,10 +9,10 @@ categories: closed surfaces (detected by Euler characteristic) and closed
 planar 1-manifold diagrams (detected by the signed circle count).
 
 Surfaces are closed from their pieces' shapes (orientability, boundary signs
-and chi per component), memoized per shape pair, and only the cup-cap pairs
-that can add to the relator lattice are closed.  Planar circles are nested in
-one left-to-right sweep along the line.  Both engines hold their closing count
-to the cell ceiling before they enumerate anything.
+and chi per component), memoized per shape pair, and only connected caps are
+closed: the other pairs add nothing to the relator lattice.  Planar circles
+are nested in one left-to-right sweep along the line.  Both engines hold
+their closing count to the cell ceiling before they enumerate anything.
 """
 
 from __future__ import annotations
@@ -32,39 +32,15 @@ from .cob2 import (
 )
 from .exactmath import (
     AbelianInvariants,
-    GroupPresentation,
     UnionFind,
     Word,
     free_reduce,
     quotient_group,
     reduce_lattice_rows,
 )
-from .fincat import FinCat, Functor, check_functor, is_groupoid
+from .fincat import FinCat
 from .limits import check_count
-from .nerve import component_objects, fundamental_group, pi0
-
-
-@dataclass(frozen=True)
-class LocalizationPresentation:
-    """Automorphism presentations of the groupoid obtained by inverting
-    every morphism.
-
-    ``aut`` maps each object id to a presentation of its automorphism group
-    in the localized category; objects in one connected component get
-    isomorphic groups, so ``components`` records the component structure for
-    picking one representative per class.
-    """
-
-    base: FinCat
-    components: tuple[tuple[str, ...], ...]
-    aut: Mapping[str, GroupPresentation]
-
-
-def localize(c: FinCat) -> LocalizationPresentation:
-    """Present the automorphism groups of the universal groupoid under c."""
-    comps = tuple(tuple(group) for group in pi0(c))
-    auts = {obj: fundamental_group(c, obj) for obj in c.objects}
-    return LocalizationPresentation(c, comps, auts)
+from .nerve import component_objects, fundamental_group
 
 
 @dataclass(frozen=True)
@@ -161,82 +137,6 @@ def word_class(
             return tuple(0 for _ in vec)
         return ()
     return tuple(acc)
-
-
-def induced_automorphism_map(
-    c: FinCat, basepoint: str, fun: Functor
-) -> dict[str, str]:
-    """Transport a functor into a groupoid along spanning-tree paths.
-
-    For each presentation generator g: y -> z the image is the target
-    composite (tree path to z)^-1 . F(g) . (tree path to y), an automorphism
-    of the image of the basepoint.  Every presentation relator is checked to
-    land on the identity, which is the universal property in its tracks.
-    """
-    issues = check_functor(fun)
-    if issues:
-        raise ValueError("not a functor: " + "; ".join(issues))
-    ok, inverse_names = is_groupoid(fun.target)
-    if not ok:
-        raise ValueError("target is not a groupoid")
-    d = fun.target
-    p = fundamental_group(c, basepoint)
-    gen_index = {name: i + 1 for i, name in enumerate(p.generators)}
-    tree = {
-        abs(w[0]) for w in p.relators if len(w) == 1
-    }  # tree edges present as single-letter relators
-
-    mmap = {
-        c.morphism_index(m): d.morphism_index(v)
-        for m, v in fun.morphism_map.items()
-    }
-    inv = {
-        f: d.morphism_index(inverse_names[d.morphisms[f]])
-        for f in range(len(d.morphisms))
-    }
-
-    # Walk the tree outward from the basepoint, accumulating the image in
-    # the target of the path to every object of the component.
-    base = c.object_index(basepoint)
-    image_base = d.object_index(fun.object_map[basepoint])
-    path: dict[int, int] = {base: d.identity[image_base]}
-    edges = []
-    for name, idx in gen_index.items():
-        if idx in tree:
-            f = c.morphism_index(name)
-            edges.append(f)
-    changed = True
-    while changed:
-        changed = False
-        for f in edges:
-            x, y = c.src[f], c.tgt[f]
-            if x in path and y not in path:
-                path[y] = d.compose(path[x], mmap[f])
-                changed = True
-            elif y in path and x not in path:
-                path[x] = d.compose(path[y], inv[mmap[f]])
-                changed = True
-
-    images: dict[str, str] = {}
-    image_idx: dict[int, int] = {}
-    for name in p.generators:
-        f = c.morphism_index(name)
-        y, z = c.src[f], c.tgt[f]
-        loop = d.compose(d.compose(path[y], mmap[f]), inv[path[z]])
-        images[name] = d.morphisms[loop]
-        image_idx[gen_index[name]] = loop
-
-    identity = d.identity[image_base]
-    for relator in p.relators:
-        acc = identity
-        for letter in relator:
-            step = image_idx[abs(letter)]
-            if letter < 0:
-                step = inv[step]
-            acc = d.compose(acc, step)
-        if acc != identity:
-            raise AssertionError("relator fails to die in the groupoid image")
-    return images
 
 
 # ---------------------------------------------------------------------------
@@ -463,14 +363,17 @@ def surface_localization_group(max_complexity: int) -> SurfaceLocalizationResult
     every piece against the all-discs reference: a general instance row is
     the signed sum of the four reference rows of its corners, and whenever
     the instance's composites stay in the basis so do those of the reference
-    rows, so the relator lattice is unchanged.  Over two circles a cap of
-    two one-holed components D, E meets connected cups only.  Against a cup
-    of one-holed components A, B it would close to (A u D) + (B u E), and
-    the two-disc reference splits the same way, so that row is the sum
-    R1(A, D) + R1(B, E) of two one-circle rows, and it is skipped exactly
-    when one of those is.  Each closing is computed from the two pieces'
-    shapes, not by composing them.  Instances whose composite falls outside
-    the generator basis are skipped and counted.
+    rows, so the relator lattice is unchanged.  Over two circles only
+    connected caps are closed, against every cup.  A cap of two one-holed
+    components D, E adds no row.  Against a cup of one-holed components
+    A, B it would close to (A u D) + (B u E), and the two-disc reference
+    splits the same way, so that row is the sum R1(A, D) + R1(B, E) of two
+    one-circle rows, skipped exactly when one of those is.  Against a
+    connected cup it is the mirror image of the connected cap mirrored from
+    that cup against the split cup mirrored from D, E: the same closed
+    surfaces, so the same row.  Each closing is computed from the two
+    pieces' shapes, not by composing them.  Instances whose composite falls
+    outside the generator basis are skipped and counted.
     The free coordinate is normalized so the sphere class is positive.
     A closing count over the cell ceiling is refused before any piece is
     built; the count is that of every cup-cap pair, so it over-counts the
@@ -495,11 +398,8 @@ def surface_localization_group(max_complexity: int) -> SurfaceLocalizationResult
             for min_chi in (-max_complexity, 1)
             for as_cap in (True, False)
         )
-        # A cap of one one-holed component per circle meets connected cups only.
-        connected_caps, split_caps = ([s for s in caps if len(s[0]) == k] for k in (1, 2))
-        connected_cups = [s for s in cups if len(s[0]) == 1]
-        for level_caps, level_cups in ((connected_caps, cups), (split_caps, connected_cups)):
-            levels.append((level_caps, level_cups, ref_caps[0], ref_cups[0], close))
+        connected_caps = [s for s in caps if len(s[0]) == 1]
+        levels.append((connected_caps, cups, ref_caps[0], ref_cups[0], close))
     invariants, classes, relator_count, skipped = _relator_engine(
         levels, len(basis), index[S2]
     )

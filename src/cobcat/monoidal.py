@@ -27,7 +27,7 @@ from .cob1 import (
     cup_matching,
     matching,
 )
-from .exactmath import AbelianInvariants, quotient_group, strict_int
+from .exactmath import AbelianInvariants, json_array, quotient_group, strict_int
 from .limits import ResourceLimitExceeded
 from .localize import planar_localization_data
 
@@ -214,10 +214,6 @@ def mat_identity(fld, n: int) -> tuple[tuple, ...]:
     )
 
 
-def mat_transpose(a) -> tuple[tuple, ...]:
-    return tuple(zip(*a)) if a else ()
-
-
 def mat_mul(fld, a, b) -> tuple[tuple, ...]:
     if a and b and len(a[0]) != len(b):
         raise ValueError(f"shape mismatch: {len(a[0])} columns vs {len(b)} rows")
@@ -232,23 +228,6 @@ def mat_mul(fld, a, b) -> tuple[tuple, ...]:
             for j in range(cols):
                 acc[j] = fld.add(acc[j], fld.mul(v, brow[j]))
         out.append(tuple(acc))
-    return tuple(out)
-
-
-def mat_kron(fld, a, b) -> tuple[tuple, ...]:
-    """Kronecker product; the left factor owns the most significant index."""
-    rows_b = len(b)
-    cols_b = len(b[0]) if b else 0
-    out = []
-    for arow in a:
-        for brow_i in range(rows_b):
-            out.append(
-                tuple(
-                    fld.mul(av, b[brow_i][j])
-                    for av in arow
-                    for j in range(cols_b)
-                )
-            )
     return tuple(out)
 
 
@@ -377,15 +356,6 @@ class AbGroup:
             return None
         return math.prod(self.torsion)
 
-    def element_order(self, a) -> int | None:
-        a = self.normalize(a)
-        if any(a[: self.rank]):
-            return None
-        out = 1
-        for v, d in zip(a[self.rank :], self.torsion):
-            out = math.lcm(out, d // math.gcd(d, v))
-        return out
-
     def torsion_elements(self):
         """All elements of the torsion subgroup (free coordinates zero)."""
         for tail in itertools.product(*(range(d) for d in self.torsion)):
@@ -506,13 +476,6 @@ class PicardData:
                     continue
                 out = self.pi1.add(out, self.pi1.scale(xi * yj, self.c_table[i][j]))
         return out
-
-    def h_of(self, x, y, z) -> tuple[int, ...]:
-        key = (self.pi0.normalize(x), self.pi0.normalize(y), self.pi0.normalize(z))
-        for hx, hy, hz, v in self.h_table:
-            if (hx, hy, hz) == key:
-                return v
-        return self.pi1.zero()
 
 
 def picard(pi0: AbelianInvariants, pi1: AbelianInvariants, c_rows, h_rows=()) -> PicardData:
@@ -748,15 +711,6 @@ def invariants_from_json(data: dict) -> AbelianInvariants:
     )
 
 
-def picard_to_json(p: PicardData) -> dict:
-    return {
-        "pi0": p.pi0.invariants.to_json(),
-        "pi1": p.pi1.invariants.to_json(),
-        "c": [[list(v) for v in row] for row in p.c_table],
-        "h": [[list(x), list(y), list(z), list(v)] for x, y, z, v in p.h_table],
-    }
-
-
 def picard_from_json(data: dict) -> PicardData:
     return picard(
         invariants_from_json(data["pi0"]),
@@ -801,15 +755,10 @@ def frobenius(field, rows) -> FrobeniusDatum:
 
 
 def frobenius_from_json(data: dict) -> FrobeniusDatum:
-    return frobenius(field_from_spec(data["field"]), data["pairing"])
-
-
-def frobenius_to_json(t: FrobeniusDatum) -> dict:
-    return {
-        "field": t.field.name,
-        "dim": t.dim,
-        "pairing": mat_to_json(t.field, t.pairing),
-    }
+    field = field_from_spec(data["field"])
+    rows = json_array(data["pairing"], "pairing")
+    rows = [json_array(row, "each pairing row") for row in rows]
+    return frobenius(field, rows)
 
 
 def _leg_terms(fld, d: int, mat, pairs, width: int, start) -> list:
@@ -915,21 +864,3 @@ def extend_to_full(theory: FrobeniusDatum) -> Extension:
     except ValueError:
         return Extension(False, "pairing is degenerate (determinant 0)", None)
     return Extension(True, "pairing is nondegenerate", FullEvaluator(theory, cap))
-
-
-def invertibility_check(evaluator: FullEvaluator, samples) -> bool:
-    """Whether the theory lands in invertible matrices on invertible objects.
-
-    Objects evaluate to tensor powers of the underlying space, which are
-    invertible exactly in dimension 1; morphism matrices must be square and
-    of nonzero determinant.
-    """
-    fld = evaluator.theory.field
-    if evaluator.theory.dim != 1:
-        return False
-    for w in samples:
-        if w.m != w.n:
-            return False
-        if mat_det(fld, evaluator.evaluate(w)) == fld.zero():
-            return False
-    return True

@@ -204,8 +204,7 @@ def fundamental_group(c: FinCat, basepoint: str) -> GroupPresentation:
     Relators: each spanning-tree edge, and for every composable pair
     ``f: x -> y``, ``g: y -> z`` of non-identities the word ``g f h^-1``
     where ``h = g after f`` (the ``h`` letter is dropped when the composite
-    is an identity).  The presentation is raw; pass it through
-    ``simplify_presentation`` to shrink it.
+    is an identity).  The presentation is raw: no Tietze move shrinks it.
     """
     component = component_objects(c, basepoint)
     gens = [

@@ -5,7 +5,9 @@ close them by building the composite with ``cob2.compose_surface`` and
 classifying it, the way the engine did before.  The tree counts are the
 planar classes the planar engine must reproduce, and ``ray_parity_forest``
 nests planar circles by pairwise ray parities, against which the sweep in
-``closed_diagram_forest`` is checked.
+``closed_diagram_forest`` is checked.  ``induced_automorphism_map`` carries
+a functor into a groupoid over to the automorphism group at a basepoint,
+checking that every presentation relator dies there.
 """
 
 from __future__ import annotations
@@ -14,7 +16,10 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from cobcat.cob2 import S2, ConnectedClass, SurfaceCobordism, compose_surface, surface_class
+from cobcat.fincat import FinCat, is_groupoid
 from cobcat.localize import Tree, _count_row, _pieces, _relator_engine, connected_generators
+from cobcat.nerve import fundamental_group
+from fincat_helpers import Functor, check_functor
 
 
 @dataclass(frozen=True)
@@ -79,8 +84,8 @@ def composed_surface_engine(bound: int, all_pairs: bool = True) -> tuple:
     ``compose_surface``: ``(invariants, classes, relator count, skipped)``.
 
     With ``all_pairs`` every two-circle cap meets every two-circle cup;
-    without it a disconnected cap meets only connected cups, the pairs the
-    engine closes."""
+    without it only connected caps are closed, the pairs the engine
+    closes."""
     basis = connected_generators(bound)
     index = {cls: i for i, cls in enumerate(basis)}
 
@@ -97,15 +102,9 @@ def composed_surface_engine(bound: int, all_pairs: bool = True) -> tuple:
     for circles in (("y0",), ("y0", "y1")):
         caps = _pieces(circles, -bound, as_cap=True)
         cups = _pieces(circles, -bound, as_cap=False)
-        if all_pairs or len(circles) == 1:
-            levels.append(level(caps, cups, circles))
-            continue
-        connected_caps, split_caps, connected_cups = (
-            [piece for piece in pieces if len(piece.components) == k]
-            for pieces, k in ((caps, 1), (caps, 2), (cups, 1))
-        )
-        levels.append(level(connected_caps, cups, circles))
-        levels.append(level(split_caps, connected_cups, circles))
+        if not all_pairs:
+            caps = [piece for piece in caps if len(piece.components) == 1]
+        levels.append(level(caps, cups, circles))
     return _relator_engine(levels, len(basis), index[S2])
 
 
@@ -183,3 +182,79 @@ def ray_parity_forest(
             parents_inv[x].append(y)
     roots = [i for i in range(n) if depth[i] == 0]
     return tuple(sorted(build(root) for root in roots))
+
+
+def induced_automorphism_map(
+    c: FinCat, basepoint: str, fun: Functor
+) -> dict[str, str]:
+    """Transport a functor into a groupoid along spanning-tree paths.
+
+    For each presentation generator g: y -> z the image is the target
+    composite (tree path to z)^-1 . F(g) . (tree path to y), an automorphism
+    of the image of the basepoint.  Every presentation relator is checked to
+    land on the identity, which is the universal property in its tracks.
+    """
+    issues = check_functor(fun)
+    if issues:
+        raise ValueError("not a functor: " + "; ".join(issues))
+    ok, inverse_names = is_groupoid(fun.target)
+    if not ok:
+        raise ValueError("target is not a groupoid")
+    d = fun.target
+    p = fundamental_group(c, basepoint)
+    gen_index = {name: i + 1 for i, name in enumerate(p.generators)}
+    tree = {
+        abs(w[0]) for w in p.relators if len(w) == 1
+    }  # tree edges present as single-letter relators
+
+    mmap = {
+        c.morphism_index(m): d.morphism_index(v)
+        for m, v in fun.morphism_map.items()
+    }
+    inv = {
+        f: d.morphism_index(inverse_names[d.morphisms[f]])
+        for f in range(len(d.morphisms))
+    }
+
+    # Walk the tree outward from the basepoint, accumulating the image in
+    # the target of the path to every object of the component.
+    base = c.object_index(basepoint)
+    image_base = d.object_index(fun.object_map[basepoint])
+    path: dict[int, int] = {base: d.identity[image_base]}
+    edges = []
+    for name, idx in gen_index.items():
+        if idx in tree:
+            f = c.morphism_index(name)
+            edges.append(f)
+    changed = True
+    while changed:
+        changed = False
+        for f in edges:
+            x, y = c.src[f], c.tgt[f]
+            if x in path and y not in path:
+                path[y] = d.compose(path[x], mmap[f])
+                changed = True
+            elif y in path and x not in path:
+                path[x] = d.compose(path[y], inv[mmap[f]])
+                changed = True
+
+    images: dict[str, str] = {}
+    image_idx: dict[int, int] = {}
+    for name in p.generators:
+        f = c.morphism_index(name)
+        y, z = c.src[f], c.tgt[f]
+        loop = d.compose(d.compose(path[y], mmap[f]), inv[path[z]])
+        images[name] = d.morphisms[loop]
+        image_idx[gen_index[name]] = loop
+
+    identity = d.identity[image_base]
+    for relator in p.relators:
+        acc = identity
+        for letter in relator:
+            step = image_idx[abs(letter)]
+            if letter < 0:
+                step = inv[step]
+            acc = d.compose(acc, step)
+        if acc != identity:
+            raise AssertionError("relator fails to die in the groupoid image")
+    return images

@@ -14,8 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from cobcat.fincat import cyclic_group_category, subset_poset_category
+from cobcat.fincat import subset_poset_category
 from cobcat.nerve import build_nerve
+from fincat_helpers import cyclic_group_category
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 

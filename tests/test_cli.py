@@ -5,6 +5,7 @@ import pytest
 
 from cobcat import cob1, cob2, fincat, nerve
 from cobcat.cli import RunReport, dispatch, main
+from fincat_helpers import cyclic_group_category, to_json
 
 
 def write(tmp_path, name, doc):
@@ -16,10 +17,10 @@ def write(tmp_path, name, doc):
 @pytest.fixture
 def files(tmp_path):
     return {
-        "s2poset": write(tmp_path, "s2poset.json", fincat.to_json(fincat.subset_poset_category(4))),
-        "parallel": write(tmp_path, "pp.json", fincat.to_json(fincat.parallel_pair())),
-        "cyclic3": write(tmp_path, "cyc3.json", fincat.to_json(fincat.cyclic_group_category(3))),
-        "terminal": write(tmp_path, "pt.json", fincat.to_json(fincat.terminal_category())),
+        "s2poset": write(tmp_path, "s2poset.json", to_json(fincat.subset_poset_category(4))),
+        "parallel": write(tmp_path, "pp.json", to_json(fincat.parallel_pair())),
+        "cyclic3": write(tmp_path, "cyc3.json", to_json(cyclic_group_category(3))),
+        "terminal": write(tmp_path, "pt.json", to_json(fincat.terminal_category())),
         "circle": write(tmp_path, "circle.json", cob1.planar_circle().to_json()),
         "nested": write(tmp_path, "nested.json", cob1.planar_nested_pair().to_json()),
         "cup": write(tmp_path, "cup.json", cob1.cup_matching().to_json()),
@@ -318,6 +319,19 @@ class TestFrob:
         report = dispatch(("frob", "extend", write(tmp_path, "t.json", theory)))
         assert report.exit_code == 1
         assert set(report.payload()) == {"command", "error"}
+
+    @pytest.mark.parametrize(
+        "pairing, command",
+        [(["12", "21"], "extend"), ("1", "extend"), (["12", "21"], "eval")],
+    )
+    def test_pairing_rows_must_be_arrays(self, tmp_path, files, capsys, pairing, command):
+        # A string is not read as the list of its characters.
+        theory = write(tmp_path, "t.json", {"field": "Q", "pairing": pairing})
+        argv = ["frob", command, theory] + ([files["cup"]] if command == "eval" else [])
+        assert main(argv) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == {"command", "error"}
+        assert "must be a JSON array" in payload["error"]
 
     def test_eval_cup(self, files):
         result = ok("frob", "eval", files["theory"], files["cup"])

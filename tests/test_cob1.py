@@ -9,10 +9,7 @@ from cobcat.cob1 import (
     CUP,
     Matching1D,
     PlanarDiagram,
-    act_boundary,
-    cancel_zigzag,
     cap_matching,
-    commute_events,
     compose_abstract,
     compose_planar,
     cup_matching,
@@ -22,19 +19,23 @@ from cobcat.cob1 import (
     euler_triviality_witness,
     f_invariant,
     f_invariant_grid,
-    functor_to_D,
     identity_matching,
-    insert_zigzag,
     matching,
     matching_from_json,
     planar_circle,
-    planar_circles,
-    planar_identity,
     planar_nested_pair,
     random_planar_word,
     reduce_endomorphism,
     restricted_from_matching,
     tensor_matching,
+)
+from cob1_helpers import (
+    act_boundary,
+    cancel_zigzag,
+    commute_events,
+    insert_zigzag,
+    planar_circles,
+    planar_identity,
     to_matching,
 )
 
@@ -349,10 +350,6 @@ class TestFInvariant:
             a = random_planar_word(rng, m, rng.randint(0, 12))
             b = random_planar_word(rng, a.n, rng.randint(0, 12))
             assert f_invariant(compose_planar(a, b)) == f_invariant(a) + f_invariant(b)
-
-    def test_functor_to_D(self):
-        assert functor_to_D(planar_circle()) == (0, 1)
-        assert functor_to_D(planar_identity(3)) == (1, 0)
 
 
 class TestReduceEndomorphism:

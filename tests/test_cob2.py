@@ -10,7 +10,6 @@ from cobcat.cob2 import (
     ClosedSurfaceClass,
     SurfaceCobordism,
     SurfaceComponent,
-    act_boundary,
     cap_disc,
     chi_of_class,
     class_name,
@@ -38,7 +37,7 @@ from cobcat.cob2 import (
     unoriented_class,
 )
 from cobcat.exactmath import AbelianInvariants
-from cob2_helpers import copants, forget_orientation, oriented_point_class, pants
+from cob2_helpers import act_boundary, copants, forget_orientation, oriented_point_class, pants
 
 
 def random_ids(rng, k, prefix):

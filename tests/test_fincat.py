@@ -4,23 +4,25 @@ import pytest
 
 from cobcat.fincat import (
     FinCat,
-    Functor,
-    NatTrans,
     build_category,
-    check_functor,
-    check_nat_trans,
-    cyclic_group_category,
-    disjoint_union,
     from_json,
     interval_category,
     is_groupoid,
     parallel_pair,
     poset_category,
-    product,
     subset_poset_category,
     terminal_category,
-    to_json,
     validate_category,
+)
+from fincat_helpers import (
+    Functor,
+    NatTrans,
+    check_functor,
+    check_nat_trans,
+    cyclic_group_category,
+    disjoint_union,
+    product,
+    to_json,
 )
 
 

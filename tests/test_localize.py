@@ -2,27 +2,18 @@ import itertools
 
 import pytest
 
-from cobcat.cob1 import CAP, CUP, PlanarDiagram, compose_planar, f_invariant, to_matching
+from cobcat.cob1 import CAP, CUP, PlanarDiagram, compose_planar, f_invariant
 from cobcat.cob2 import RP2, S2, T2, chi_of_class, class_name, component, surface
 from cobcat.exactmath import AbelianInvariants, abelianize, quotient_group
-from cobcat.fincat import (
-    Functor,
-    cyclic_group_category,
-    interval_category,
-    parallel_pair,
-    subset_poset_category,
-)
+from cobcat.fincat import interval_category, parallel_pair, subset_poset_category
 from cobcat.limits import ResourceLimitExceeded
 from cobcat.localize import (
-    LocalizationPresentation,
     RelationInstance,
     abelian_loop_classes,
     closed_diagram_forest,
     connected_generators,
     crossingless_matchings,
     enumerate_trees,
-    induced_automorphism_map,
-    localize,
     planar_localization_data,
     relation_word,
     surface_localization_group,
@@ -31,11 +22,14 @@ from cobcat.localize import (
     _shape,
     _shape_closer,
 )
-from cobcat.nerve import fundamental_group, pi0
+from cobcat.nerve import fundamental_group
+from cob1_helpers import to_matching
+from fincat_helpers import Functor, cyclic_group_category
 from localize_oracles import (
     SurfaceRelationInstance,
     composed_row,
     composed_surface_engine,
+    induced_automorphism_map,
     ray_parity_forest,
     surface_relator_vector,
     tree_nodes,
@@ -61,26 +55,21 @@ def one_circle_cup(orientable, genus):
 
 
 class TestLocalize:
+    # The automorphism group of an object in the groupoid obtained by
+    # inverting every morphism is the fundamental group of the nerve there.
     def test_groupoid_aut_is_the_group(self):
-        loc = localize(cyclic_group_category(3))
-        assert isinstance(loc, LocalizationPresentation)
-        assert abelianize(loc.aut["*"]) == AbelianInvariants(0, (3,))
+        p = fundamental_group(cyclic_group_category(3), "*")
+        assert abelianize(p) == AbelianInvariants(0, (3,))
 
     def test_parallel_pair_aut_is_infinite_cyclic(self):
-        loc = localize(parallel_pair())
+        c = parallel_pair()
         for obj in ("a", "b"):
-            assert abelianize(loc.aut[obj]) == AbelianInvariants(1, ())
+            assert abelianize(fundamental_group(c, obj)) == AbelianInvariants(1, ())
 
     def test_terminal_object_gives_trivial_aut(self):
-        loc = localize(interval_category())
-        assert abelianize(loc.aut["a"]).is_trivial
-        assert abelianize(loc.aut["b"]).is_trivial
-
-    def test_components_and_construction_identity(self):
-        c = parallel_pair()
-        loc = localize(c)
-        assert [list(comp) for comp in loc.components] == pi0(c)
-        assert loc.aut["a"] == fundamental_group(c, "a")
+        c = interval_category()
+        assert abelianize(fundamental_group(c, "a")).is_trivial
+        assert abelianize(fundamental_group(c, "b")).is_trivial
 
 
 class TestRelationInstance:
@@ -351,6 +340,47 @@ class TestSurfaceLocalizationGroup:
                 else:
                     assert row == [x + y for x, y in zip(first, second)]
         assert (skipped > 0) == (bound > 0)
+
+    @pytest.mark.parametrize("bound", range(7))
+    def test_split_caps_mirror_connected_caps(self, bound):
+        # A cap of two one-holed components against a connected cup closes
+        # to the mirror image of the mirrored pair: a connected cap against
+        # a split cup, which the engine closes.  The closed surfaces and so
+        # the rows agree, and the engine closes no split cap.
+        two = ("y0", "y1")
+        index = {cls: i for i, cls in enumerate(connected_generators(bound))}
+        caps, cups = (_pieces(two, -bound, as_cap) for as_cap in (True, False))
+        ref_cap, ref_cup = _pieces(two, 1, True)[0], _pieces(two, 1, False)[0]
+
+        def row(cup, cap):
+            corners = [(cup, cap), (cup, ref_cap), (ref_cup, cap), (ref_cup, ref_cap)]
+            a, b, c, d = (composed_row(*pair, index) for pair in corners)
+            return None if a is None else [av - bv - cv + dv for av, bv, cv, dv in zip(a, b, c, d)]
+
+        def mirror(piece):
+            # Each component keeps its circles and signs on the other side.
+            comps = [
+                component(
+                    comp.orientable,
+                    comp.genus,
+                    comp.out_circles,
+                    comp.in_circles,
+                    {cid: sign for _, cid, sign in comp.eps},
+                )
+                for comp in piece.components
+            ]
+            return surface(piece.tgt, piece.src, comps)
+
+        pairs = skipped = 0
+        for cap in (p for p in caps if len(p.components) == 2):
+            for cup in (p for p in cups if len(p.components) == 1):
+                mirrored_cup, mirrored_cap = mirror(cap), mirror(cup)
+                assert mirrored_cup in cups and mirrored_cap in caps
+                want = row(mirrored_cup, mirrored_cap)
+                assert row(cup, cap) == want
+                pairs += 1
+                skipped += want is None
+        assert pairs > 0 and (skipped > 0) == (bound > 0)
 
     def test_two_circle_reference_is_two_discs(self):
         two = ("y0", "y1")

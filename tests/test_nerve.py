@@ -6,26 +6,19 @@ import time
 import pytest
 
 from cobcat import nerve as nerve_module
-from cobcat.exactmath import (
-    AbelianInvariants,
-    abelianize,
-    simplify_presentation,
-    smith_normal_form,
-)
+from cobcat.exactmath import AbelianInvariants, abelianize, smith_normal_form
 from cobcat.fincat import (
-    cyclic_group_category,
-    disjoint_union,
     from_json,
     interval_category,
     parallel_pair,
     poset_category,
-    product,
     subset_poset_category,
     terminal_category,
-    to_json,
 )
 from cobcat.limits import ResourceLimitExceeded
 from cobcat.nerve import build_nerve, fundamental_group, homology, pi0
+from exactmath_helpers import simplify_presentation
+from fincat_helpers import cyclic_group_category, disjoint_union, product, to_json
 
 Z = AbelianInvariants(1, ())
 ZERO = AbelianInvariants(0, ())
