@@ -335,6 +335,10 @@ def dispatch(argv) -> RunReport:
         result, error, code = None, f"internal error: {type(exc).__name__}: {exc}", 3
     except (ValueError, KeyError, TypeError, OSError) as exc:
         result, error, code = None, f"{type(exc).__name__}: {exc}", 1
+    except MemoryError:
+        # Last resort: the budgets bound counts, and a run under them can
+        # still exhaust memory.
+        result, error, code = None, "MemoryError: the run ran out of memory", 2
     return RunReport(command, result, error, code, time.perf_counter() - start)
 
 

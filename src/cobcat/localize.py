@@ -11,13 +11,18 @@ planar 1-manifold diagrams (detected by the signed circle count).
 Surfaces are closed from their pieces' shapes (orientability, boundary signs
 and chi per component), memoized per shape pair, and only connected caps are
 closed: the other pairs add nothing to the relator lattice.  Planar circles
-are nested in one left-to-right sweep along the line.  Both engines hold
-their closing count to the cell ceiling before they enumerate anything.
+are nested in one left-to-right sweep along the line, and a cup i meets a
+cap k only when i <= k and the two split at no common point: the other
+pairs are mirror images or sums of lower-level rows.  The engine counts each
+distinct composite into its row once.  Both engines hold their count of all
+cup-cap pairs to the cell ceiling before they enumerate anything, so the
+count over-counts the pairs closed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
@@ -155,44 +160,62 @@ def _count_row(items: Iterable, index: Mapping) -> list[int] | None:
 
 
 def _relator_engine(
-    levels: Iterable[tuple], width: int, positive: int
+    levels: Iterable[tuple], index: Mapping, positive: int
 ) -> tuple[AbelianInvariants, tuple[tuple[tuple[int, int], ...], ...], int, int]:
-    """Z^width modulo the commuting-square relators of the given levels.
+    """Z^len(index) modulo the commuting-square relators of the given levels.
 
-    A level is ``(caps, cups, ref_cap, ref_cup, close)`` over one boundary
-    object y, where ``close(cup, cap)`` is the class row of the closed
-    composite, or None when it leaves the basis.  Each cap-cup pair gives
-    the row ``close(cup, cap) - close(cup, ref_cap) - close(ref_cup, cap) +
+    A level is ``(caps, cups, pairs, ref_cap, ref_cup, close)`` over one
+    boundary object y, where ``close(cup, cap)`` is the closed composite as
+    a hashable collection of basis keys, which ``index`` maps to
+    coordinates.  Each ``(cap, cup)`` index pair in ``pairs`` gives the row
+    ``close(cup, cap) - close(cup, ref_cap) - close(ref_cup, cap) +
     close(ref_cup, ref_cap)``; the row of a general square is the signed sum
-    of the rows of its four corners, so these span the same lattice.  Pairs
-    whose composite leaves the basis are skipped and counted, and zero or
-    repeated rows are dropped.  Free coordinates are flipped so that
-    generator ``positive`` lands on the positive side.
+    of the rows of its four corners, so these span the same lattice.  Each
+    distinct composite is counted into its row once, and each distinct
+    triple of composite and references gives its row once.  Pairs whose
+    composite leaves the basis are skipped and counted, and zero or repeated
+    rows are dropped.  Free coordinates are flipped so that generator
+    ``positive`` lands on the positive side.
 
     Returns ``(invariants, classes, relator row count, skipped instances)``.
     """
+    ids: dict = {}
+    counts: list[list[int] | None] = []
+
+    def intern(closed) -> int:
+        i = ids.get(closed)
+        if i is None:
+            i = ids[closed] = len(counts)
+            counts.append(_count_row(closed, index))
+        return i
+
     skipped = 0
     seen: set[tuple[int, ...]] = set()
     rows: list[tuple[int, ...]] = []
-    for caps, cups, ref_cap, ref_cup, close in levels:
-        corner = close(ref_cup, ref_cap)
-        cap_refs = [close(ref_cup, cap) for cap in caps]
-        cup_refs = [close(cup, ref_cap) for cup in cups]
-        assert corner is not None and None not in cap_refs + cup_refs
-        for i, cap in enumerate(caps):
-            for k, cup in enumerate(cups):
-                a = close(cup, cap)
-                if a is None:
-                    skipped += 1
-                    continue
-                row = tuple(
-                    av - bv - cv + dv
-                    for av, bv, cv, dv in zip(a, cup_refs[k], cap_refs[i], corner)
-                )
-                if any(row) and row not in seen:
-                    seen.add(row)
-                    rows.append(row)
+    for caps, cups, pairs, ref_cap, ref_cup, close in levels:
+        corner = counts[intern(close(ref_cup, ref_cap))]
+        cap_refs = [intern(close(ref_cup, cap)) for cap in caps]
+        cup_refs = [intern(close(cup, ref_cap)) for cup in cups]
+        assert corner is not None and None not in [counts[r] for r in cap_refs + cup_refs]
+        done: set[tuple[int, int, int]] = set()
+        for i, k in pairs:
+            a = intern(close(cups[k], caps[i]))
+            if counts[a] is None:
+                skipped += 1
+                continue
+            key = (a, cup_refs[k], cap_refs[i])
+            if key in done:
+                continue
+            done.add(key)
+            row = tuple(
+                av - bv - cv + dv
+                for av, bv, cv, dv in zip(counts[a], counts[key[1]], counts[key[2]], corner)
+            )
+            if any(row) and row not in seen:
+                seen.add(row)
+                rows.append(row)
 
+    width = len(index)
     invariants, classes = quotient_group(reduce_lattice_rows(rows, width), width)
     flips = {
         pos
@@ -328,26 +351,19 @@ def _glue(cup: tuple, cap: tuple) -> list[tuple[list[int], bool]]:
     ]
 
 
-def _shape_closer(index: Mapping[ConnectedClass, int]):
-    """``close(cup, cap)`` on shapes: the basis row of the closed surface, or
-    None when a class leaves the basis.  Gluings are memoized per skeleton
+def _shape_closer():
+    """``close(cup, cap)`` on shapes: the ``(orientable, chi)`` of each
+    component of the closed surface.  Gluings are memoized per skeleton
     pair, of which there are at most 7 x 7 over two circles."""
-    by_chi = {(cls[0], chi_of_class(cls)): i for cls, i in index.items()}
     glued: dict[tuple, list] = {}
 
-    def close(cup: tuple, cap: tuple) -> list[int] | None:
+    def close(cup: tuple, cap: tuple) -> tuple[tuple[bool, int], ...]:
         key = (cup[0], cap[0])
         groups = glued.get(key)
         if groups is None:
             groups = glued[key] = _glue(*key)
         chi = (cup[1] + cap[1]).__getitem__
-        row = [0] * len(index)
-        for members, orientable in groups:
-            i = by_chi.get((orientable, sum(map(chi, members))))
-            if i is None:
-                return None
-            row[i] += 1
-        return row
+        return tuple((orientable, sum(map(chi, members))) for members, orientable in groups)
 
     return close
 
@@ -388,8 +404,9 @@ def surface_localization_group(max_complexity: int) -> SurfaceLocalizationResult
     count = s * s + (c + s * s) ** 2
     check_count(count, f"--max-chi {max_complexity} would close {count} cup-cap pairs")
     basis = connected_generators(max_complexity)
-    index = {cls: i for i, cls in enumerate(basis)}
-    close = _shape_closer(index)
+    # A connected closed surface is fixed by its orientability and chi.
+    index = {(cls[0], chi_of_class(cls)): i for i, cls in enumerate(basis)}
+    close = _shape_closer()
     levels = []
     for n_circles in (1, 2):
         circles = tuple(f"y{i}" for i in range(n_circles))
@@ -399,9 +416,10 @@ def surface_localization_group(max_complexity: int) -> SurfaceLocalizationResult
             for as_cap in (True, False)
         )
         connected_caps = [s for s in caps if len(s[0]) == 1]
-        levels.append((connected_caps, cups, ref_caps[0], ref_cups[0], close))
+        pairs = product(range(len(connected_caps)), range(len(cups)))
+        levels.append((connected_caps, cups, pairs, ref_caps[0], ref_cups[0], close))
     invariants, classes, relator_count, skipped = _relator_engine(
-        levels, len(basis), index[S2]
+        levels, index, index[True, chi_of_class(S2)]
     )
     return SurfaceLocalizationResult(
         invariants, basis, classes, relator_count, skipped
@@ -432,11 +450,19 @@ def crossingless_matchings(m: int) -> list[tuple[tuple[int, int], ...]]:
     return out
 
 
-def closed_diagram_forest(
-    cup_pairs: Sequence[tuple[int, int]], cap_pairs: Sequence[tuple[int, int]]
-) -> tuple[Tree, ...]:
+def _partners(pairs: Iterable[tuple[int, int]], m: int) -> list[int]:
+    """The matching as an array: ``partner[p]`` is the point joined to p."""
+    partner = [0] * m
+    for p, q in pairs:
+        partner[p] = q
+        partner[q] = p
+    return partner
+
+
+def _forest(cup_of: Sequence[int], cap_of: Sequence[int]) -> tuple[Tree, ...]:
     """Nesting forest of the closed diagram formed by a cup matching below
-    the line and a cap matching above it, both on the points 0..m-1.
+    the line and a cap matching above it, given as partner arrays on the
+    same points 0..m-1.
 
     One left-to-right sweep along the line keeps a stack of the circles
     around the current stretch of it; those form a chain, innermost on top.
@@ -446,26 +472,10 @@ def closed_diagram_forest(
     its alternating cup and cap arcs, and its parent is the top it is
     pushed on.
     """
-    m = 2 * len(cup_pairs)
-    points = range(m)
-    every = set(points)
-    if (
-        2 * len(cap_pairs) != m
-        or set().union(*cup_pairs) != every
-        or set().union(*cap_pairs) != every
-    ):
-        raise ValueError("cup and cap matchings must cover the same points 0..m-1")
-    cup_of = [0] * m
-    cap_of = [0] * m
-    for pairs, partner in ((cup_pairs, cup_of), (cap_pairs, cap_of)):
-        for p, q in pairs:
-            partner[p] = q
-            partner[q] = p
-
-    circle = [-1] * m
+    circle = [-1] * len(cup_of)
     kids: list[list[int]] = [[]]  # kids[0] holds the outermost circles
     stack = [0]
-    for point in points:
+    for point in range(len(circle)):
         c = circle[point]
         if c < 0:
             c = len(kids)
@@ -488,6 +498,30 @@ def closed_diagram_forest(
         if kids[c]:
             trees[c] = tuple(sorted([trees[k] for k in kids[c]]))
     return trees[0]
+
+
+def _split_points(partner: Sequence[int]) -> int:
+    """Bit j is set when 0 < j < m and no arc joins [0, j) to [j, m)."""
+    mask = reach = 0
+    for p in range(len(partner) - 1):
+        reach = max(reach, partner[p])
+        mask |= (reach == p) << (p + 1)
+    return mask
+
+
+def _planar_level(m: int) -> tuple:
+    """The engine level of matchings on m points: cup i meets cap k only
+    when i <= k and the two split at no common point."""
+    partners = [_partners(pairs, m) for pairs in crossingless_matchings(m)]
+    splits = [_split_points(partner) for partner in partners]
+    pairs = [
+        (k, i)
+        for i in range(len(partners))
+        for k in range(i, len(partners))
+        if not splits[i] & splits[k]
+    ]
+    ref = _partners(((i, i + 1) for i in range(0, m, 2)), m)
+    return partners, partners, pairs, ref, ref, _forest
 
 
 def enumerate_trees(max_nodes: int) -> list[Tree]:
@@ -547,9 +581,14 @@ def planar_localization_data(max_points: int = 8) -> PlanarLocalizationData:
     points; composites are nesting forests whose trees generate the
     endomorphisms of the empty object.  Relators are taken against the
     all-adjacent reference matching; any commuting square factors through
-    such rows, so the lattice is not thinned by the restriction.  A closing
-    count over the cell ceiling is refused before any matching is
-    enumerated.
+    such rows, so the lattice is not thinned by the restriction.  Cup i
+    meets cap k only when i <= k: reflection in the line swaps cup and cap
+    and keeps the forest and the reference, so mirror pairs share a row.  A
+    cup and a cap that both split at a point j close side by side to their
+    halves, as the reference does, so their row R_j + R_{m-j} is a sum of
+    lower-level rows and they are not closed.  A count of every cup-cap
+    pair, which over-counts those closed, is refused over the cell ceiling
+    before any matching is enumerated.
     """
     if max_points < 2 or max_points % 2:
         raise ValueError("max_points must be a positive even number")
@@ -560,18 +599,8 @@ def planar_localization_data(max_points: int = 8) -> PlanarLocalizationData:
     check_count(count, f"--max-points {max_points} would close {count} cup-cap pairs")
     basis = tuple(enumerate_trees(max_points // 2))
     index = {tree: i for i, tree in enumerate(basis)}
-
-    def close(
-        cup: Sequence[tuple[int, int]], cap: Sequence[tuple[int, int]]
-    ) -> list[int] | None:
-        return _count_row(closed_diagram_forest(cup, cap), index)
-
-    levels = []
-    for m in range(2, max_points + 1, 2):
-        matchings = crossingless_matchings(m)
-        ref = tuple((i, i + 1) for i in range(0, m, 2))
-        levels.append((matchings, matchings, ref, ref, close))
-    pi1, classes, _, _ = _relator_engine(levels, len(basis), index[()])
+    levels = (_planar_level(m) for m in range(2, max_points + 1, 2))
+    pi1, classes, _, _ = _relator_engine(levels, index, index[()])
 
     # Objects: point counts joined by cups, so m and m + 2 are cobordant.
     pi0, _ = quotient_group([[2]], 1)

@@ -185,15 +185,14 @@ class PrimeField:
 QQ = RationalField()
 
 
-def field_from_spec(spec: str):
-    """Read a field name: ``Q`` for the rationals, ``F5`` or ``5`` for mod 5."""
-    text = str(spec).strip()
-    if text.upper() in ("Q", "QQ"):
+def field_from_spec(spec: object):
+    """Read a field name, a JSON string: ``Q`` or ``QQ`` for the rationals,
+    ``F5`` or ``5`` for mod 5."""
+    if spec in ("Q", "QQ"):
         return QQ
-    if text and text[0] in "Ff":
-        text = text[1:]
-    if not text.isdigit():
-        raise ValueError(f"unknown field {spec!r}")
+    text = spec[1:] if isinstance(spec, str) and spec[:1] == "F" else spec
+    if not (isinstance(text, str) and text.isascii() and text.isdigit()):
+        raise ValueError(f"unknown field {spec!r}; expected a string Q, QQ, F<p> or <p>")
     return PrimeField(int(text))
 
 
@@ -627,11 +626,23 @@ def _iso_candidates(a: AbGroup, b: AbGroup, bound: int) -> list[tuple[tuple[int,
     images range over signed free generators shifted by torsion.  That family
     is complete for free rank at most 1 (an isomorphism must induce one on
     the free quotients, and Aut(Z) = {1, -1}); higher rank is refused rather
-    than searched incompletely.
+    than searched incompletely.  The combination count is checked against
+    ``bound`` in closed form before any image is listed: a torsion generator
+    of order d has prod_j gcd(d, t_j) images, a free one 2 * rank * prod_j t_j.
     """
     if a.rank > 1:
         raise ResourceLimitExceeded(
             f"free rank {a.rank} is above the searched image family"
+        )
+    combos = math.prod(
+        math.prod(math.gcd(d, t) for t in b.torsion)
+        if d is not None
+        else 2 * b.rank * math.prod(b.torsion)
+        for d in map(a.generator_order, range(a.ncoords))
+    )
+    if combos > bound:
+        raise ResourceLimitExceeded(
+            f"{combos} generator-image combinations exceed the bound {bound}"
         )
     torsion_elems = list(b.torsion_elements())
     per_gen: list[list[tuple[int, ...]]] = []
@@ -647,11 +658,6 @@ def _iso_candidates(a: AbGroup, b: AbGroup, bound: int) -> list[tuple[tuple[int,
         else:
             images = [t for t in torsion_elems if b.scale(d, t) == b.zero()]
         per_gen.append(images)
-    combos = math.prod(len(c) for c in per_gen) if per_gen else 1
-    if combos > bound:
-        raise ResourceLimitExceeded(
-            f"{combos} generator-image combinations exceed the bound {bound}"
-        )
     relation_rows = [
         [d if j == b.rank + jj else 0 for j in range(b.ncoords)]
         for jj, d in enumerate(b.torsion)

@@ -2,22 +2,38 @@
 
 The surface engine closes cup-cap pairs from piece shapes; these helpers
 close them by building the composite with ``cob2.compose_surface`` and
-classifying it, the way the engine did before.  The tree counts are the
-planar classes the planar engine must reproduce, and ``ray_parity_forest``
-nests planar circles by pairwise ray parities, against which the sweep in
-``closed_diagram_forest`` is checked.  ``induced_automorphism_map`` carries
-a functor into a groupoid over to the automorphism group at a basepoint,
-checking that every presentation relator dies there.
+classifying it, the way the engine did before.  ``all_pairs_planar_engine``
+closes every pair of matchings with dense rows, the way the planar engine
+did before it closed only mirror-distinct pairs that split at no common
+point.  The tree counts are the planar classes the planar engine must
+reproduce.  ``closed_diagram_forest`` checks a cup-cap pair of matchings and
+runs the engine's sweep on it, and ``ray_parity_forest`` nests planar
+circles by pairwise ray parities, against which that sweep is checked.
+``induced_automorphism_map`` carries a functor into a groupoid over to the
+automorphism group at a basepoint, checking that every presentation relator
+dies there.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from cobcat.cob2 import S2, ConnectedClass, SurfaceCobordism, compose_surface, surface_class
 from cobcat.fincat import FinCat, is_groupoid
-from cobcat.localize import Tree, _count_row, _pieces, _relator_engine, connected_generators
+from cobcat.exactmath import AbelianInvariants, quotient_group, reduce_lattice_rows
+from cobcat.localize import (
+    Tree,
+    _count_row,
+    _pieces,
+    _forest,
+    _partners,
+    _relator_engine,
+    connected_generators,
+    crossingless_matchings,
+    enumerate_trees,
+)
 from cobcat.nerve import fundamental_group
 from fincat_helpers import Functor, check_functor
 
@@ -93,9 +109,10 @@ def composed_surface_engine(bound: int, all_pairs: bool = True) -> tuple:
         return (
             caps,
             cups,
+            itertools.product(range(len(caps)), range(len(cups))),
             _pieces(circles, 1, as_cap=True)[0],
             _pieces(circles, 1, as_cap=False)[0],
-            lambda cup, cap: composed_row(cup, cap, index),
+            lambda cup, cap: surface_class(compose_surface(cup, cap)).components,
         )
 
     levels = []
@@ -105,7 +122,53 @@ def composed_surface_engine(bound: int, all_pairs: bool = True) -> tuple:
         if not all_pairs:
             caps = [piece for piece in caps if len(piece.components) == 1]
         levels.append(level(caps, cups, circles))
-    return _relator_engine(levels, len(basis), index[S2])
+    return _relator_engine(levels, index, index[S2])
+
+
+def all_pairs_planar_engine(
+    max_points: int,
+) -> tuple[AbelianInvariants, tuple[Tree, ...], tuple[tuple[tuple[int, int], ...], ...]]:
+    """``(pi1, basis, tree_classes)`` of ``planar_localization_data``, with
+    every cup closed against every cap on up to max_points points and each
+    row built densely against the all-adjacent reference."""
+    basis = tuple(enumerate_trees(max_points // 2))
+    index = {tree: i for i, tree in enumerate(basis)}
+
+    def close(cup, cap):
+        return _count_row(closed_diagram_forest(cup, cap), index)
+
+    seen: set[tuple[int, ...]] = set()
+    rows: list[tuple[int, ...]] = []
+    for m in range(2, max_points + 1, 2):
+        matchings = crossingless_matchings(m)
+        ref = tuple((i, i + 1) for i in range(0, m, 2))
+        corner = close(ref, ref)
+        cap_refs = [close(ref, cap) for cap in matchings]
+        cup_refs = [close(cup, ref) for cup in matchings]
+        for i, cap in enumerate(matchings):
+            for k, cup in enumerate(matchings):
+                a = close(cup, cap)
+                row = tuple(
+                    av - bv - cv + dv
+                    for av, bv, cv, dv in zip(a, cup_refs[k], cap_refs[i], corner)
+                )
+                if any(row) and row not in seen:
+                    seen.add(row)
+                    rows.append(row)
+
+    width = len(basis)
+    invariants, classes = quotient_group(reduce_lattice_rows(rows, width), width)
+    positive = index[()]
+    flips = {
+        pos
+        for pos, (value, modulus) in enumerate(classes[positive])
+        if modulus == 0 and value < 0
+    }
+    fixed = tuple(
+        tuple((-v if pos in flips else v, mod) for pos, (v, mod) in enumerate(vec))
+        for vec in classes
+    )
+    return invariants, basis, fixed
 
 
 def tree_nodes(tree: Tree) -> int:
@@ -116,6 +179,23 @@ def tree_signed_count(tree: Tree, depth: int = 0) -> int:
     """Nodes at even depth minus nodes at odd depth."""
     sign = 1 if depth % 2 == 0 else -1
     return sign + sum(tree_signed_count(child, depth + 1) for child in tree)
+
+
+def closed_diagram_forest(
+    cup_pairs: Sequence[tuple[int, int]], cap_pairs: Sequence[tuple[int, int]]
+) -> tuple[Tree, ...]:
+    """Nesting forest of the closed diagram formed by a cup matching below
+    the line and a cap matching above it, both on the points 0..m-1, by the
+    sweep the planar engine runs on partner arrays."""
+    m = 2 * len(cup_pairs)
+    every = set(range(m))
+    if (
+        2 * len(cap_pairs) != m
+        or set().union(*cup_pairs) != every
+        or set().union(*cap_pairs) != every
+    ):
+        raise ValueError("cup and cap matchings must cover the same points 0..m-1")
+    return _forest(_partners(cup_pairs, m), _partners(cap_pairs, m))
 
 
 def ray_parity_forest(

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from cobcat import cob1, cob2, fincat, nerve
+from cobcat import cli, cob1, cob2, fincat, nerve
 from cobcat.cli import RunReport, dispatch, main
 from fincat_helpers import cyclic_group_category, to_json
 
@@ -286,6 +286,21 @@ class TestPicard:
         report = dispatch(("picard", "k", "--input", files["svect"], "--element", "1,2"))
         assert report.exit_code == 1
 
+    def test_equivalent_is_budgeted_before_listing(self, tmp_path, capsys):
+        # Z/10^6 has 10^6 images for its generator; the count is refused in
+        # closed form, before the torsion subgroup is listed.
+        big = write(tmp_path, "big.json", {
+            "pi0": {"rank": 0, "torsion": [10**6]},
+            "pi1": {"rank": 0, "torsion": []},
+            "c": [[[]]],
+            "h": [],
+        })
+        start = time.perf_counter()
+        assert main(["picard", "equivalent", big, big]) == 2
+        assert time.perf_counter() - start < 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert "1000000 generator-image combinations" in error and "bound 20000" in error
+
 
 class TestFrob:
     def test_extend(self, files):
@@ -332,6 +347,14 @@ class TestFrob:
         payload = json.loads(capsys.readouterr().out)
         assert set(payload) == {"command", "error"}
         assert "must be a JSON array" in payload["error"]
+
+    @pytest.mark.parametrize("field", [5, " f5 "])
+    def test_field_must_be_a_plain_string(self, tmp_path, capsys, field):
+        theory = write(tmp_path, "t.json", {"field": field, "pairing": [[1]]})
+        assert main(["frob", "extend", theory]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == {"command", "error"}
+        assert "unknown field" in payload["error"]
 
     def test_eval_cup(self, files):
         result = ok("frob", "eval", files["theory"], files["cup"])
@@ -443,6 +466,16 @@ class TestReportShape:
         assert "ceiling of 1000000" in error and "COBCAT_MAX_CELLS" in error
         assert main(["picard", "cob1", "--max-points", "10"]) == 0
         assert json.loads(capsys.readouterr().out)["result"]["pi1"] == {"rank": 1, "torsion": []}
+
+    def test_memory_error_is_exit_2(self, files, capsys, monkeypatch):
+        def exhausted(args):
+            raise MemoryError
+
+        monkeypatch.setitem(cli._HANDLERS, "cob1", exhausted)
+        assert main(["cob1", "f", files["circle"]]) == 2
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1
+        assert json.loads(out)["error"] == "MemoryError: the run ran out of memory"
 
     def test_main_exit_codes(self, files, capsys):
         assert main(["cob1", "f", files["circle"]]) == 0

@@ -10,7 +10,6 @@ from cobcat.limits import ResourceLimitExceeded
 from cobcat.localize import (
     RelationInstance,
     abelian_loop_classes,
-    closed_diagram_forest,
     connected_generators,
     crossingless_matchings,
     enumerate_trees,
@@ -18,7 +17,9 @@ from cobcat.localize import (
     relation_word,
     surface_localization_group,
     word_class,
+    _count_row,
     _pieces,
+    _planar_level,
     _shape,
     _shape_closer,
 )
@@ -26,6 +27,8 @@ from cobcat.nerve import fundamental_group
 from cob1_helpers import to_matching
 from fincat_helpers import Functor, cyclic_group_category
 from localize_oracles import (
+    all_pairs_planar_engine,
+    closed_diagram_forest,
     SurfaceRelationInstance,
     composed_row,
     composed_surface_engine,
@@ -52,6 +55,32 @@ def one_circle_cap(orientable, genus):
 
 def one_circle_cup(orientable, genus):
     return surface((), ("y0",), [component(orientable, genus, (), ("y0",))])
+
+
+def planar_row(cup, cap, index):
+    """Relator row of a cup and a cap matching against the all-adjacent
+    reference on their points."""
+    ref = tuple((i, i + 1) for i in range(0, 2 * len(cup), 2))
+    corners = [(cup, cap), (cup, ref), (ref, cap), (ref, ref)]
+    a, b, c, d = (_count_row(closed_diagram_forest(*pair), index) for pair in corners)
+    return [av - bv - cv + dv for av, bv, cv, dv in zip(a, b, c, d)]
+
+
+def common_splits(cup, cap):
+    """The points 0 < j < m at which no arc of either matching joins
+    [0, j) to [j, m)."""
+    return [
+        j for j in range(2, 2 * len(cup), 2) if all((p < j) == (q < j) for p, q in cup + cap)
+    ]
+
+
+def halves(matching, j):
+    """The matching split at j: its arcs on [0, j), and those on [j, m)
+    shifted to start at 0."""
+    return (
+        tuple((p, q) for p, q in matching if q < j),
+        tuple((p - j, q - j) for p, q in matching if p >= j),
+    )
 
 
 class TestLocalize:
@@ -412,13 +441,15 @@ class TestShapeClosing:
         # the class of the composite that compose_surface builds.
         basis = connected_generators(3)
         index = {cls: i for i, cls in enumerate(basis)}
-        close = _shape_closer(index)
+        by_chi = {(cls[0], chi_of_class(cls)): i for cls, i in index.items()}
+        close = _shape_closer()
         odd_cycles = 0
         for circles in (("y0",), ("y0", "y1")):
             for cap in _pieces(circles, -3, as_cap=True):
                 for cup in _pieces(circles, -3, as_cap=False):
                     want = composed_row(cup, cap, index)
-                    assert close(_shape(cup, circles), _shape(cap, circles)) == want
+                    closed = close(_shape(cup, circles), _shape(cap, circles))
+                    assert _count_row(closed, by_chi) == want
                     orientable = all(p.orientable for p in cup.components + cap.components)
                     if orientable and want and any(want[index[c]] for c in basis if not c[0]):
                         odd_cycles += 1
@@ -592,3 +623,47 @@ class TestPlanarModel:
                 rows.append([av - bv - cv + dv for av, bv, cv, dv in zip(a, b, c, d)])
         assert data.pi1 == AbelianInvariants(1, ())
         assert data.tree_classes == full_lattice_classes(rows, len(index), index[()])
+
+    @pytest.mark.parametrize("points", range(2, 13, 2))
+    def test_matches_all_pairs_engine(self, points):
+        data = planar_localization_data(points)
+        assert (data.pi1, data.basis, data.tree_classes) == all_pairs_planar_engine(points)
+
+    @pytest.mark.parametrize("m", range(2, 11, 2))
+    def test_mirror_pairs_have_equal_rows(self, m):
+        # Reflecting the closing of cup A against cap B in the line gives
+        # cup B against cap A with the same nesting forest, and the
+        # all-adjacent reference is its own reflection, so the two rows
+        # agree.  The engine closes cup i against cap k only for i <= k:
+        # every pair is closed, or its mirror is, or it splits at a common
+        # point.
+        index = {tree: i for i, tree in enumerate(enumerate_trees(5))}
+        matchings = crossingless_matchings(m)
+        closed = set(_planar_level(m)[2])
+        for i, cup in enumerate(matchings):
+            for k, cap in enumerate(matchings):
+                assert planar_row(cup, cap, index) == planar_row(cap, cup, index)
+                assert i <= k or (k, i) not in closed
+                assert (k, i) in closed or (i, k) in closed or common_splits(cup, cap)
+
+    @pytest.mark.parametrize("m", range(2, 11, 2))
+    def test_common_split_pairs_are_sums_of_lower_rows(self, m):
+        # A cup A | B and a cap D | E that both split at j close side by
+        # side to the closings of their halves, and so does the reference,
+        # which splits at every j.  So the row is R_j(A, D) + R_{m-j}(B, E),
+        # a sum of two rows of lower levels.  The engine leaves out exactly
+        # those pairs with i <= k.
+        index = {tree: i for i, tree in enumerate(enumerate_trees(5))}
+        matchings = crossingless_matchings(m)
+        closed = set(_planar_level(m)[2])
+        split = 0
+        for i, cup in enumerate(matchings):
+            for k, cap in enumerate(matchings):
+                points = common_splits(cup, cap)
+                assert i > k or ((k, i) in closed) != bool(points)
+                for j in points:
+                    (a, b), (d, e) = halves(cup, j), halves(cap, j)
+                    lower = zip(planar_row(a, d, index), planar_row(b, e, index))
+                    assert planar_row(cup, cap, index) == [x + y for x, y in lower]
+                    split += 1
+        assert (split > 0) == (m > 2)
