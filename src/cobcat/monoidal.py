@@ -28,7 +28,7 @@ from .cob1 import (
     matching,
 )
 from .exactmath import AbelianInvariants, json_array, quotient_group, strict_int
-from .limits import ResourceLimitExceeded
+from .limits import ResourceLimitExceeded, check_count
 from .localize import planar_localization_data
 
 # ---------------------------------------------------------------------------
@@ -65,6 +65,9 @@ def _check_prime(p: int) -> None:
             raise ValueError(f"{p} is not prime")
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
 @dataclass(frozen=True)
 class RationalField:
     """The rationals with Fraction elements.
@@ -78,10 +81,10 @@ class RationalField:
         return "Q"
 
     def zero(self) -> Fraction:
-        return Fraction(0)
+        return _ZERO
 
     def one(self) -> Fraction:
-        return Fraction(1)
+        return _ONE
 
     def from_int(self, k: int) -> Fraction:
         return Fraction(k)
@@ -94,6 +97,9 @@ class RationalField:
 
     def mul(self, a, b):
         return a * b
+
+    def power(self, a, k: int):
+        return a**k
 
     def neg(self, a):
         return -a
@@ -157,6 +163,9 @@ class PrimeField:
     def mul(self, a, b):
         return (a * b) % self.p
 
+    def power(self, a, k: int):
+        return pow(a, k, self.p)
+
     def neg(self, a):
         return (-a) % self.p
 
@@ -178,8 +187,7 @@ class PrimeField:
             return self.mul(frac.numerator % self.p, self.inv(frac.denominator))
         raise ValueError(f"cannot read field element from {value!r}")
 
-    def to_json(self, a):
-        return int(a)
+    to_json = staticmethod(int)  # a builtin call costs less per matrix entry than a method
 
 
 QQ = RationalField()
@@ -277,7 +285,13 @@ def mat_inv(fld, a) -> tuple[tuple, ...]:
 
 
 def mat_to_json(fld, a) -> list:
-    return [[fld.to_json(v) for v in row] for row in a]
+    """Entries as JSON.  An entry that *is* the field's zero object, as most
+    of an evaluated matrix is, gets one shared blank; any other entry, a zero
+    built elsewhere included, goes through ``to_json``, so the output is exact
+    for every matrix."""
+    zero, to_json = fld.zero(), fld.to_json
+    blank = to_json(zero)
+    return [[blank if v is zero else to_json(v) for v in row] for row in a]
 
 
 # ---------------------------------------------------------------------------
@@ -793,30 +807,45 @@ def _contract(theory: FrobeniusDatum, w: Matching1D, cap=None, circle=None) -> t
     columns by incoming values.  The matrix factors into ``circle`` to the
     power of the circle count, a covector of the caps on the incoming legs
     and a vector of the cups on the outgoing legs; through-strands copy an
-    index from the column to the row.  Only non-zero terms are visited, and
-    each (row, column) receives at most one.
+    index from the column to the row.  Each cap-term x cup-term product is
+    multiplied once, into one row of the block per cup term, and the block
+    is copied onto every through-strand route: the route's rows are those
+    rows shifted right by its column offset, which moves only zeros off
+    their ends.  Each entry gets at most one term, and every other entry is
+    the field's one zero object.  The d^(m+n) entries and the bit size of
+    the circle power are priced before any term is built.
     """
     fld, d, m, n = theory.field, theory.dim, w.m, w.n
     caps = [(x, y) for x, y in w.pairs if y < m]
     if cap is None and (caps or w.circles):
         raise ValueError("a matching with caps or circles needs the inverse pairing")
-    scalar = fld.one()
-    for _ in range(w.circles):
-        scalar = fld.mul(scalar, circle)
+    check_count(d ** (m + n), f"frob eval would write {d}^{m + n} matrix entries")
+    if w.circles and isinstance(fld, RationalField) and circle not in (0, 1, -1):
+        bits = w.circles * (abs(circle.numerator).bit_length() + circle.denominator.bit_length())
+        check_count(bits, f"frob eval would raise the circle value {circle} to the "
+                    f"power {w.circles}, about {bits} bits")
+    scalar = fld.power(circle, w.circles) if w.circles else fld.one()
     cups = [(x - m, y - m) for x, y in w.pairs if x >= m]
     col_terms = _leg_terms(fld, d, cap, caps, m, scalar)
     row_terms = _leg_terms(fld, d, theory.pairing, cups, n, fld.one())
+    width, zero = d**m, fld.zero()
+    blank = (zero,) * width
+    block = []
+    for r1, b in row_terms:
+        row = [zero] * width
+        for c1, a in col_terms:
+            row[c1] = fld.mul(a, b)
+        block.append((r1, tuple(row)))
     routes = [(0, 0)]
     for x, y in w.pairs:
         if x < m <= y:
             wx, wy = d ** (m - 1 - x), d ** (m + n - 1 - y)
             routes = [(c + v * wx, r + v * wy) for c, r in routes for v in range(d)]
-    out = [[fld.zero()] * d**m for _ in range(d**n)]
+    out = [blank] * d**n
     for c0, r0 in routes:
-        for c1, a in col_terms:
-            for r1, b in row_terms:
-                out[r0 + r1][c0 + c1] = fld.mul(a, b)
-    return tuple(tuple(row) for row in out)
+        for r1, row in block:
+            out[r0 + r1] = blank[:c0] + row[: width - c0]
+    return tuple(out)
 
 
 def evaluate_restricted(theory: FrobeniusDatum, w: Matching1D) -> tuple[tuple, ...]:

@@ -84,9 +84,9 @@ def build_nerve(
     Raises :class:`ResourceLimitExceeded` if the total number of cells would
     pass ``max_cells`` (default from COBCAT_MAX_CELLS or 10**6).  Each of the
     ``cap + 1`` degrees counts as at least one cell, even an empty one, so a
-    huge cap is refused before any layer is built; each layer's size is
-    counted before the layer is built, so a refusal costs no more than the
-    layers below it.
+    huge cap is refused before any layer is built; every layer's size is
+    counted, by paths over the non-identities, before the first is built,
+    so a refusal builds nothing.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
@@ -99,24 +99,31 @@ def build_nerve(
     non_identities = [
         f for f in range(len(c.morphisms)) if not c.is_identity(f)
     ]
+    # Chains of degree p ending at each object, v_p[y] = sum of v_{p-1}[x]
+    # over the non-identities x -> y, are counted for every degree before
+    # any layer is built; above an empty degree every degree is empty.
+    ends = [1] * len(c.objects)
+    total = len(ends)
+    for p in range(cap + 1):
+        if p:
+            counts = [0] * len(ends)
+            for f in non_identities:
+                counts[c.tgt[f]] += ends[c.src[f]]
+            ends = counts
+            total += sum(ends)
+        if total > ceiling:
+            raise _refuse(ceiling, total, p)
+        if not any(ends):
+            break
     cells: list[tuple] = [tuple(range(len(c.objects)))]
-    total = len(cells[0])
-    if total > ceiling:
-        raise _refuse(ceiling, total, 0)
     by_source: list[list[int]] = [[] for _ in c.objects]
     for f in non_identities:
         by_source[c.src[f]].append(f)
-    for p in range(1, cap + 1):
-        # Each chain of degree p - 1 with the non-identities it extends by;
-        # their count is checked against the ceiling before any is built.
-        if p == 1:
-            ends = [((), non_identities)]
-        else:
-            ends = [(chain, by_source[c.tgt[chain[-1]]]) for chain in cells[p - 1]]
-        total += sum(len(out) for _, out in ends)
-        if total > ceiling:
-            raise _refuse(ceiling, total, p)
-        cells.append(tuple(chain + (g,) for chain, out in ends for g in out))
+    cells.append(tuple((f,) for f in non_identities))
+    for p in range(2, cap + 1):
+        cells.append(tuple(
+            chain + (g,) for chain in cells[p - 1] for g in by_source[c.tgt[chain[-1]]]
+        ))
 
     columns = [tuple({} for _ in cells[0])]
     for p in range(1, cap + 1):

@@ -27,6 +27,12 @@ def mat_kron(fld, a, b) -> tuple[tuple, ...]:
     return tuple(out)
 
 
+def mat_to_json_per_entry(fld, a) -> list:
+    """One ``to_json`` call per entry, zeros included: the oracle for
+    ``mat_to_json``, which writes its field's zero object without one."""
+    return [[fld.to_json(v) for v in row] for row in a]
+
+
 def picard_to_json(p: PicardData) -> dict:
     return {
         "pi0": p.pi0.invariants.to_json(),

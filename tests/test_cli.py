@@ -127,6 +127,16 @@ class TestCat:
         assert report.exit_code == 2
         assert "--cap 10" in report.error and "--max-cells" in report.error
 
+    def test_nerve_layers_are_priced_before_any_is_built(self, files, capsys, monkeypatch):
+        # BZ/3 has 2^p cells in degree p; the running total passes 10^6 at
+        # degree 19, and all of it is counted before a layer is built.
+        monkeypatch.delenv("COBCAT_MAX_CELLS", raising=False)
+        start = time.perf_counter()
+        assert main(["cat", "homology", "--cap", "100000", files["cyclic3"]]) == 2
+        assert time.perf_counter() - start < 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert f"{2**20 - 1} cells at degree 19" in error and "ceiling of 1000000" in error
+
     def test_failed_self_check_is_internal_error(self, files, monkeypatch):
         real = nerve._boundary_matrix
 
@@ -365,6 +375,36 @@ class TestFrob:
         assert report.exit_code == 1
         result = ok("frob", "eval", files["theory"], files["cap"])
         assert result == {"cols": 4, "matrix": [[1, 0, 0, 1]], "rows": 1}
+
+    @pytest.mark.parametrize(
+        "field, morphism, count",
+        [
+            ("Q", {"m": 8, "n": 8, "pairs": [[i, 8 + i] for i in range(8)]}, "3^16 matrix entries"),
+            ("F7", {"m": 30, "n": 0, "pairs": [[2 * i, 2 * i + 1] for i in range(15)]},
+             "3^30 matrix entries"),
+            ("Q", {"m": 0, "n": 0, "pairs": [], "circles": 10**11},
+             "power 100000000000, about 300000000000 bits"),
+        ],
+    )
+    def test_eval_is_budgeted(self, tmp_path, capsys, monkeypatch, field, morphism, count):
+        monkeypatch.delenv("COBCAT_MAX_CELLS", raising=False)
+        theory = write(tmp_path, "t.json", {"field": field, "pairing": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]})
+        start = time.perf_counter()
+        assert main(["frob", "eval", theory, write(tmp_path, "w.json", morphism)]) == 2
+        assert time.perf_counter() - start < 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert count in error and "ceiling of 1000000" in error and "COBCAT_MAX_CELLS" in error
+
+    def test_eval_circle_power_mod_p(self, tmp_path, monkeypatch):
+        # Over F_p the circle value is raised by three-argument pow, so the
+        # circle count costs nothing.
+        monkeypatch.delenv("COBCAT_MAX_CELLS", raising=False)
+        theory = write(tmp_path, "t.json", {"field": "F7", "pairing": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]})
+        loops = write(tmp_path, "w.json", {"m": 0, "n": 0, "pairs": [], "circles": 10**11})
+        start = time.perf_counter()
+        result = ok("frob", "eval", theory, loops)
+        assert time.perf_counter() - start < 1
+        assert result == {"cols": 1, "matrix": [[pow(3, 10**11, 7)]], "rows": 1}
 
 
 class TestRelations:

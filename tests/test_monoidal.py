@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +38,7 @@ from cobcat.monoidal import (
     mat_identity,
     mat_inv,
     mat_mul,
+    mat_to_json,
     minus_one_class,
     picard,
     picard_equivalent,
@@ -46,6 +49,7 @@ from monoidal_helpers import (
     frobenius_to_json,
     invertibility_check,
     mat_kron,
+    mat_to_json_per_entry,
     mat_transpose,
     picard_to_json,
 )
@@ -616,6 +620,39 @@ class TestEntryOracle:
                         evaluate_restricted(t, w)
                 if ext.extends:
                     assert ext.evaluator.evaluate(w) == oracle_matrix(fld, t.pairing, cap, w)
+
+    def test_json_matches_the_per_entry_converter(self):
+        # Each evaluated matrix prints byte for byte as the per-entry
+        # converter prints the definition's, whose zeros are new objects.
+        for fld, rows in self.THEORIES:
+            t = frobenius(fld, rows)
+            ext = extend_to_full(t)
+            cap = ext.evaluator.cap_matrix if ext.extends else None
+            for w in small_matchings(6):
+                if not w.circles and all(y >= w.m for _, y in w.pairs):
+                    want = same_text(fld, oracle_matrix(fld, t.pairing, None, w))
+                    assert same_text(fld, evaluate_restricted(t, w)) == want
+                if ext.extends:
+                    want = same_text(fld, oracle_matrix(fld, t.pairing, cap, w))
+                    assert same_text(fld, ext.evaluator.evaluate(w)) == want
+
+    def test_zeros_built_elsewhere_are_converted(self):
+        # Zeros that are not the field's zero object go through to_json and
+        # print the same as the ones that are.
+        fresh = ((Fraction(0), Fraction(-1, 2)), (QQ.zero(), Fraction(3)))
+        assert fresh[0][0] is not QQ.zero()
+        assert same_text(QQ, fresh) == "[[0, \"-1/2\"], [0, 3]]"
+        product = mat_mul(QQ, mat_from_rows(QQ, [[1, -1], [2, "1/2"]]), mat_from_rows(QQ, [[1, 0], [1, 0]]))
+        assert product[0][0] == 0 and product[0][0] is not QQ.zero()
+        assert same_text(QQ, product) == "[[0, 0], [\"5/2\", 0]]"
+        square = mat_mul(F5, ((1, 2), (3, 4)), ((3, 0), (1, 0)))
+        assert same_text(F5, square) == "[[0, 0], [3, 0]]"
+
+
+def same_text(fld, mat) -> str:
+    text = json.dumps(mat_to_json(fld, mat))
+    assert text == json.dumps(mat_to_json_per_entry(fld, mat))
+    return text
 
 
 class TestInvertibility:
