@@ -4,11 +4,14 @@ Cells in degree p are composable p-tuples of non-identity morphisms
 (the normalized chain complex: faces that compose to an identity are
 dropped).  Each boundary is assembled as sparse columns, one
 ``{row: coefficient}`` map of non-zeros per cell, and d∘d = 0 is checked
-column by column at a cost proportional to the non-zeros.  Homology in each
-degree comes from the exact Smith invariant factors of the boundaries
-(:func:`~cobcat.exactmath.smith_diagonal`): ±1 pivots are eliminated
-sparsely and only the small block left over goes through a dense Smith
-loop, so torsion is computed exactly.
+column by column at a cost proportional to the non-zeros.  Homology comes
+from the Morse complex of Brown's collapsing scheme (K. S. Brown, "The
+geometry of rewriting systems", 1992; E. Sköldberg, "Morse theory from an
+algebraic viewpoint", 2006): shortlex normal forms of the morphisms match
+most cells in pairs, the boundaries of the critical cells are projected
+along the gradient paths, and only they go through the exact Smith
+invariant factors (:func:`~cobcat.exactmath.smith_diagonal`).  For BZ/n
+one cell per degree below the cap is critical.
 
 Degrees above ``cap - 1`` are not reported: computing H_p honestly needs the
 boundary out of degree p + 1, so a nerve built with ``cap = n`` yields
@@ -168,20 +171,156 @@ def _assert_chain_complex(n: NerveComplex) -> None:
                 raise AssertionError(f"boundary squared nonzero in degree {p}")
 
 
+def _normal_forms(c: FinCat) -> dict[int, tuple[int, ...]]:
+    """Shortlex-least paths of generators composing to each non-identity.
+
+    The generators are the non-identities that are not a composite of two
+    non-identities, then, in index order, each one the generators so far do
+    not reach.  Every prefix and suffix of a normal form is a normal form.
+    """
+    table, src, tgt = c.table, c.src, c.tgt
+    ident = set(c.identity)
+    non_identities = [f for f in range(len(c.morphisms)) if f not in ident]
+    composites = {h for (f, g), h in table.items() if f not in ident and g not in ident}
+    gens = [f for f in non_identities if f not in composites]
+    by_source: list[list[int]] = [[] for _ in c.objects]
+    for s in gens:
+        by_source[src[s]].append(s)
+
+    def search(nf: dict[int, tuple[int, ...]], queue: list[int]) -> dict[int, tuple[int, ...]]:
+        for x in queue:  # breadth first, generators in index order: shortlex
+            for s in by_source[tgt[x]]:
+                h = table[x, s]
+                if h not in nf and h not in ident:
+                    nf[h] = nf[x] + (s,)
+                    queue.append(h)
+        return nf
+
+    nf = search({s: (s,) for s in gens}, list(gens))
+    if len(nf) == len(non_identities):
+        return nf
+    for f in non_identities:  # close the reached set after each new generator
+        if f not in nf:
+            queue = [x for x in nf if tgt[x] == src[f]] + [f]
+            nf[f] = (f,)
+            gens.append(f)
+            by_source[src[f]].append(f)
+            search(nf, queue)
+    gens.sort()
+    for out in by_source:
+        out.sort()
+    return search({s: (s,) for s in gens}, list(gens))
+
+
+def _brown_matching(n: NerveComplex) -> list[dict[int, int]]:
+    """Brown's collapsing scheme on the nerve: ``match[p]`` sends each
+    redundant p-cell to the index of its (p+1)-cell partner.
+
+    With NF from :func:`_normal_forms`, a chain [x1|…|xp] is redundant if
+    NF(x1) has two letters or more; its partner splits off the first
+    letter.  Otherwise the chain is followed while each NF(xj) is the
+    shortest prefix u of itself with NF(x(j-1))·u reducible (an Anick
+    chain).  At the first xj where it is not, the chain is collapsible if
+    NF(x(j-1))·NF(xj) is a normal form, and redundant if u is a proper
+    prefix: its partner splits xj = u·v.  The rest are critical, and so
+    is a redundant chain of the cap degree, whose partner is not built.
+    """
+    nf = _normal_forms(n.category)
+    value = {w: x for x, w in nf.items()}
+
+    def split(x: int, y: int) -> tuple[int, ...] | None:
+        # () for an Anick pair, None for a collapsible one, else (u, v).
+        wx, wy = nf[x], nf[y]
+        z = x
+        for k, s in enumerate(wy):
+            z = n.category.table[z, s]
+            if nf.get(z) != wx + wy[: k + 1]:
+                return () if k + 1 == len(wy) else (value[wy[: k + 1]], value[wy[k + 1 :]])
+        return None
+
+    splits = {pair: split(*pair) for pair in n.cells[2]} if n.cap > 2 else {}
+    match: list[dict[int, int]] = [{}]
+    for p in range(1, n.cap):
+        index = {cell: j for j, cell in enumerate(n.cells[p + 1])}
+        up = {}
+        for i, cell in enumerate(n.cells[p]):
+            word = nf[cell[0]]
+            if len(word) > 1:
+                up[i] = index[(word[0], value[word[1:]]) + cell[1:]]
+                continue
+            for j in range(1, p):
+                uv = splits[cell[j - 1], cell[j]]
+                if uv != ():
+                    if uv is not None:
+                        up[i] = index[cell[:j] + uv + cell[j + 1 :]]
+                    break
+        match.append(up)
+    return match
+
+
 def homology(n: NerveComplex) -> list[AbelianInvariants]:
-    """H_0 .. H_{cap-1} as canonical abelian invariants."""
+    """H_0 .. H_{cap-1} as canonical abelian invariants, from the critical
+    cells of :func:`_brown_matching` (algebraic discrete Morse theory).
+
+    Every (p-1)-cell is projected once onto the critical ones: a critical
+    cell to itself, a collapsible one to 0, and a redundant cell r with
+    partner q to -ε⁻¹ times the projections of the other faces of q, where
+    ε is r's coefficient in dq.  The Smith invariant factors of the
+    projected boundaries of the critical p-cells give the homology.  An ε
+    other than ±1, a cell matched twice or a cycle of the gradient flow
+    raises ``AssertionError``.
+    """
+    match = _brown_matching(n) + [{}]
+    critical = []
+    for p, cells in enumerate(n.cells):
+        up, below = match[p], set(match[p - 1].values())
+        if len(below) < len(match[p - 1]) or not below.isdisjoint(up):
+            raise AssertionError(f"a {p}-cell is matched twice")
+        critical.append([i for i in range(len(cells)) if i not in up and i not in below])
+    diags = [[]]
+    for p in range(1, n.cap + 1):
+        if not n.cells[p]:  # no cells here, so none in any degree above
+            diags += [[]] * (n.cap + 1 - p)
+            break
+        columns, up, rows = n.columns[p], match[p - 1], len(critical[p - 1])
+        if rows == len(n.cells[p - 1]):  # nothing matched in degree p-1
+            diags.append(smith_diagonal([columns[j] for j in critical[p]], rows))
+            continue
+        proj = {i: {k: 1} for k, i in enumerate(critical[p - 1])}
+
+        def image(col: dict[int, int], skip: int, scale: int) -> dict[int, int]:
+            out: dict[int, int] = {}
+            for g, a in col.items():
+                pg = proj.get(g)
+                if pg and g != skip:
+                    a *= scale
+                    for k, b in pg.items():
+                        out[k] = out.get(k, 0) + a * b
+            return {k: v for k, v in out.items() if v}
+
+        for start in up:
+            stack = [] if start in proj else [start]
+            while stack:
+                r = stack[-1]
+                col = columns[up[r]]
+                for g in col:
+                    if g in up and g not in proj and g != r:
+                        if g in stack:
+                            raise AssertionError(f"gradient flow cycle in degree {p - 1}")
+                        stack.append(g)
+                        break
+                else:
+                    eps = col.get(r)
+                    if eps not in (1, -1):
+                        raise AssertionError(f"matched incidence {eps} in degree {p}")
+                    proj[r] = image(col, r, -eps)
+                    stack.pop()
+        morse = [image(columns[j], -1, 1) for j in critical[p]]
+        diags.append(smith_diagonal(morse, rows))
     out = []
-    diags = [
-        smith_diagonal(columns, len(n.cells[p - 1]) if p else 0)
-        for p, columns in enumerate(n.columns)
-    ]
     for p in range(n.cap):
-        dim = len(n.cells[p])
-        rank_in = len(diags[p + 1])
-        rank_out = len(diags[p])
-        free = dim - rank_out - rank_in
-        torsion = tuple(d for d in diags[p + 1] if d > 1)
-        out.append(AbelianInvariants(free, torsion))
+        free = len(critical[p]) - len(diags[p]) - len(diags[p + 1])
+        out.append(AbelianInvariants(free, tuple(d for d in diags[p + 1] if d > 1)))
     return out
 
 

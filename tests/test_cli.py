@@ -20,6 +20,7 @@ def files(tmp_path):
         "s2poset": write(tmp_path, "s2poset.json", to_json(fincat.subset_poset_category(4))),
         "parallel": write(tmp_path, "pp.json", to_json(fincat.parallel_pair())),
         "cyclic3": write(tmp_path, "cyc3.json", to_json(cyclic_group_category(3))),
+        "cyclic5": write(tmp_path, "cyc5.json", to_json(cyclic_group_category(5))),
         "terminal": write(tmp_path, "pt.json", to_json(fincat.terminal_category())),
         "circle": write(tmp_path, "circle.json", cob1.planar_circle().to_json()),
         "nested": write(tmp_path, "nested.json", cob1.planar_nested_pair().to_json()),
@@ -151,6 +152,53 @@ class TestCat:
         report = dispatch(("cat", "homology", "--cap", "3", files["cyclic3"]))
         assert report.exit_code == 3
         assert report.error.startswith("internal error: AssertionError")
+
+    @pytest.mark.parametrize("flaw", ["non-unit pair", "two-cycle"])
+    def test_broken_matching_is_internal_error(self, files, monkeypatch, capsys, flaw):
+        real = nerve._brown_matching
+
+        def broken(n):
+            # In BZ/3, d[r1|r1] = 2[r1] - [r2], and d[r1|r2] = [r2] + [r1]
+            # because r1 r2 is the identity, and likewise d[r2|r1].  Only
+            # the degree-1 pairs set here are matched.
+            match = real(n)
+            r1, r2 = (n.category.morphism_index(f"r{k}") for k in (1, 2))
+            one = {cell: i for i, cell in enumerate(n.cells[1])}
+            two = {cell: j for j, cell in enumerate(n.cells[2])}
+            if flaw == "non-unit pair":
+                match[1] = {one[(r1,)]: two[(r1, r1)]}
+            else:
+                match[1] = {one[(r1,)]: two[(r1, r2)], one[(r2,)]: two[(r2, r1)]}
+            match[2] = {}
+            return match
+
+        monkeypatch.setattr(nerve, "_brown_matching", broken)
+        assert main(["cat", "homology", "--cap", "3", files["cyclic3"]]) == 3
+        payload = json.loads(capsys.readouterr().out)
+        assert "result" not in payload
+        assert payload["error"].startswith("internal error: AssertionError")
+
+    @pytest.mark.parametrize(
+        "stem, result",
+        [
+            (
+                "cyclic5",
+                '{"H": [{"rank": 1, "torsion": []}, {"rank": 0, "torsion": [5]}, '
+                '{"rank": 0, "torsion": []}, {"rank": 0, "torsion": [5]}]}',
+            ),
+            (
+                "s2poset",
+                '{"H": [{"rank": 1, "torsion": []}, {"rank": 0, "torsion": []}, '
+                '{"rank": 1, "torsion": []}, {"rank": 0, "torsion": []}]}',
+            ),
+        ],
+    )
+    def test_homology_cap4_golden_stdout(self, files, capsys, stem, result):
+        # The bytes the full-boundary path printed.
+        path = files[stem]
+        assert main(["cat", "homology", "--cap", "4", path]) == 0
+        command = json.dumps(["cat", "homology", "--cap", "4", path])
+        assert capsys.readouterr().out == f'{{"command": {command}, "result": {result}}}\n'
 
 
 class TestLocalize:

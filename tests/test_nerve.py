@@ -4,6 +4,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cobcat import nerve as nerve_module
 from cobcat.exactmath import AbelianInvariants, abelianize, smith_normal_form
@@ -19,6 +21,7 @@ from cobcat.limits import ResourceLimitExceeded
 from cobcat.nerve import build_nerve, fundamental_group, homology, pi0
 from exactmath_helpers import simplify_presentation
 from fincat_helpers import cyclic_group_category, disjoint_union, product, to_json
+from nerve_helpers import check_matching, oracle_homology
 
 Z = AbelianInvariants(1, ())
 ZERO = AbelianInvariants(0, ())
@@ -141,6 +144,17 @@ class TestHomology:
             AbelianInvariants(0, (10,)),
         ]
 
+    def test_bz16_cap4(self):
+        # 69,905 cells: eliminating pivots across every full boundary took
+        # about 11 s on this input.
+        nerve = build_nerve(cyclic_group_category(16), cap=4)
+        assert homology(nerve) == [
+            Z,
+            AbelianInvariants(0, (16,)),
+            ZERO,
+            AbelianInvariants(0, (16,)),
+        ]
+
 
 def dense_homology(nerve):
     """The dense path: Smith normal form of every dense boundary matrix."""
@@ -181,9 +195,12 @@ class TestSparseAgainstDense:
 
     @pytest.mark.parametrize("cap", [1, 2, 3, 4])
     def test_homology_matches_dense_path(self, cap):
+        # Against the full-boundary path as well as the dense one.
         for cat in self.corpus():
             nerve = build_nerve(cat, cap=cap)
-            assert homology(nerve) == dense_homology(nerve), cat.objects
+            expected = dense_homology(nerve)
+            assert oracle_homology(nerve) == expected, cat.objects
+            assert homology(nerve) == expected, cat.objects
 
     def test_dense_boundaries_match_columns(self):
         nerve = build_nerve(cyclic_group_category(3), cap=3)
@@ -192,6 +209,72 @@ class TestSparseAgainstDense:
             assert matrix.shape == (len(nerve.cells[p - 1]) if p else 0, len(nerve.cells[p]))
             for j, col in enumerate(nerve.columns[p]):
                 assert {i: rows[i][j] for i in range(matrix.rows) if rows[i][j]} == col
+
+
+def cell_index(nerve, p, cell):
+    return nerve.cells[p].index(cell)
+
+
+@st.composite
+def small_categories(draw):
+    """Random posets, cyclic groups and parallel pairs, and products and
+    disjoint unions of two of them."""
+
+    def atom():
+        kind = draw(st.sampled_from(["poset", "cyclic", "parallel"]))
+        if kind == "poset":
+            return random_poset(draw(st.randoms(use_true_random=False)), draw(st.integers(3, 4)))
+        if kind == "cyclic":
+            return cyclic_group_category(draw(st.integers(2, 5)))
+        return parallel_pair()
+
+    shape = draw(st.sampled_from(["atom", "product", "union"]))
+    if shape == "atom":
+        return atom()
+    if shape == "product":
+        return product(atom(), atom())
+    return disjoint_union(atom(), atom())
+
+
+class TestBrownMatching:
+    @settings(max_examples=150, deadline=None)
+    @given(small_categories(), st.integers(1, 4))
+    def test_matching_is_acyclic_with_unit_pairs_and_keeps_homology(self, cat, cap):
+        # The cap is lowered until the nerve has at most 2,000 cells.
+        while True:
+            try:
+                nerve = build_nerve(cat, cap, max_cells=2000)
+                break
+            except ResourceLimitExceeded:
+                cap -= 1
+        check_matching(nerve, nerve_module._brown_matching(nerve))
+        assert homology(nerve) == oracle_homology(nerve)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 9])
+    def test_cyclic_group_leaves_one_critical_cell_per_degree(self, n):
+        cap = 4
+        nerve = build_nerve(cyclic_group_category(n), cap)
+        critical = check_matching(nerve, nerve_module._brown_matching(nerve))
+        assert critical[:cap] == [1] * cap
+
+    def test_sphere_poset_critical_cells(self):
+        nerve = build_nerve(subset_poset_category(5), 4)
+        critical = check_matching(nerve, nerve_module._brown_matching(nerve))
+        assert critical == [30, 70, 60, 20, 0]
+
+    def test_partners_in_bz3(self):
+        # r2 = r1 r1 has the normal form r1.r1, so [r2|...] splits off its
+        # first letter.  [r1|r1] is collapsible onto [r2], and [r1|r2] is an
+        # Anick chain (r1.r1.r1 is an identity), so it is critical.
+        nerve = build_nerve(cyclic_group_category(3), 3)
+        r1, r2 = (nerve.category.morphism_index(f"r{k}") for k in (1, 2))
+        match = nerve_module._brown_matching(nerve)
+        assert match[1] == {cell_index(nerve, 1, (r2,)): cell_index(nerve, 2, (r1, r1))}
+        assert match[2] == {
+            cell_index(nerve, 2, (r2, x)): cell_index(nerve, 3, (r1, r1, x))
+            for x in (r1, r2)
+        }
+        assert check_matching(nerve, match) == [1, 1, 1, 8 - 2]
 
 
 class TestPi0:

@@ -34,6 +34,7 @@ HELPERS = {
     "fincat": "fincat_helpers",
     "localize": "localize_oracles",
     "monoidal": "monoidal_helpers",
+    "nerve": "nerve_helpers",
 }
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
