@@ -102,10 +102,9 @@ def _build_parser() -> argparse.ArgumentParser:
     pk = pic_sub.add_parser("k", help="k-invariant of an object class")
     pk.add_argument("--input", required=True, help="Picard data JSON file")
     pk.add_argument("--element", required=True, help="comma-separated coordinates")
-    peq = pic_sub.add_parser("equivalent", help="search for an equivalence")
+    peq = pic_sub.add_parser("equivalent", help="decide equivalence")
     peq.add_argument("first")
     peq.add_argument("second")
-    peq.add_argument("--search-bound", type=int, default=20000, dest="search_bound")
     pc1 = pic_sub.add_parser("cob1", help="derived Picard data of the 1d localization")
     pc1.add_argument("--max-points", type=int, default=8, dest="max_points")
 
@@ -150,9 +149,9 @@ def _run_cat(args) -> object:
         }
     if args.subcommand == "pi0":
         return {"components": nerve.pi0(c)}
-    problems = fincat.validate_category(c)
+    # from_json has already refused a category with any problem.
     groupoid, _ = fincat.is_groupoid(c)
-    return {"groupoid": groupoid, "problems": problems, "valid": not problems}
+    return {"groupoid": groupoid, "problems": [], "valid": True}
 
 
 def _run_localize(args) -> object:
@@ -223,7 +222,7 @@ def _run_picard(args) -> object:
     if args.subcommand == "equivalent":
         a = monoidal.picard_from_json(_load(args.first))
         b = monoidal.picard_from_json(_load(args.second))
-        return {"equivalent": monoidal.picard_equivalent(a, b, args.search_bound)}
+        return {"equivalent": monoidal.picard_equivalent(a, b)}
     return monoidal.cob1_picard(args.max_points).to_json()
 
 

@@ -4,8 +4,9 @@ A skeletal rigid symmetric monoidal groupoid is stored as a pair of finitely
 generated abelian groups (object classes and unit automorphisms) together
 with a table for the symmetry's self-braiding classes and an optional
 associator table.  The diagonal of the symmetry table is the k-invariant,
-and equivalence of two such groupoids reduces to matching the groups and
-intertwining that invariant.
+an F2-linear map pi0/2pi0 -> pi1[2], and two such groupoids are equivalent
+exactly when their groups match and the corner ranks of k over the 2-adic
+exponent flags agree.
 
 The field-theory half evaluates 1-dimensional cobordisms against a choice
 of symmetric pairing over an exact field: cup pairs insert the pairing,
@@ -27,7 +28,7 @@ from .cob1 import (
     cup_matching,
     matching,
 )
-from .exactmath import AbelianInvariants, json_array, quotient_group, strict_int
+from .exactmath import AbelianInvariants, json_array, strict_int
 from .limits import ResourceLimitExceeded, check_count
 from .localize import planar_localization_data
 
@@ -369,15 +370,10 @@ class AbGroup:
             return None
         return math.prod(self.torsion)
 
-    def torsion_elements(self):
-        """All elements of the torsion subgroup (free coordinates zero)."""
-        for tail in itertools.product(*(range(d) for d in self.torsion)):
-            yield (0,) * self.rank + tail
-
     def elements(self):
         if self.rank:
             raise ValueError("infinite group")
-        return self.torsion_elements()
+        return itertools.product(*(range(d) for d in self.torsion))
 
 
 def coords_from_pairs(pairs, group: AbGroup) -> tuple[int, ...]:
@@ -633,93 +629,57 @@ def cob1_picard(max_points: int = 8) -> DerivedPicard:
 # -- equivalence ------------------------------------------------------------
 
 
-def _iso_candidates(a: AbGroup, b: AbGroup, bound: int) -> list[tuple[tuple[int, ...], ...]]:
-    """Generator-image tuples defining isomorphisms a -> b.
+def _f2_rank(vectors) -> int:
+    """Rank over F2 of bit vectors held as integers, by an XOR basis.
 
-    Torsion generators range over the full torsion subgroup; free generator
-    images range over signed free generators shifted by torsion.  That family
-    is complete for free rank at most 1 (an isomorphism must induce one on
-    the free quotients, and Aut(Z) = {1, -1}); higher rank is refused rather
-    than searched incompletely.  The combination count is checked against
-    ``bound`` in closed form before any image is listed: a torsion generator
-    of order d has prod_j gcd(d, t_j) images, a free one 2 * rank * prod_j t_j.
+    >>> _f2_rank([0b011, 0b101, 0b110, 0b000])
+    2
     """
-    if a.rank > 1:
-        raise ResourceLimitExceeded(
-            f"free rank {a.rank} is above the searched image family"
+    basis: dict[int, int] = {}
+    for v in vectors:
+        while v and v.bit_length() in basis:
+            v ^= basis[v.bit_length()]
+        if v:
+            basis[v.bit_length()] = v
+    return len(basis)
+
+
+def _corner_ranks(p: PicardData) -> tuple[int, ...]:
+    """F2 ranks of the corners of k: pi0/2pi0 -> pi1[2].
+
+    Column i is c(g_i, g_i) as bits, bit j set where torsion coordinate j
+    is d_j/2.  Generators and rows of order d sit at step v2(d), 0 for odd
+    d (where k vanishes), free generators at infinity.  A corner keeps the
+    columns of step <= e and the rows of step < f, for all steps e, f and f = inf.
+    """
+    col_steps = [math.inf] * p.pi0.rank + [(d & -d).bit_length() - 1 for d in p.pi0.torsion]
+    row_steps = [(d & -d).bit_length() - 1 for d in p.pi1.torsion]
+    diagonal = [p.c_table[i][i][p.pi1.rank :] for i in range(len(col_steps))]
+    return tuple(
+        _f2_rank(
+            sum(1 << j for j, v in enumerate(k) if v and row_steps[j] < f)
+            for step, k in zip(col_steps, diagonal)
+            if step <= e
         )
-    combos = math.prod(
-        math.prod(math.gcd(d, t) for t in b.torsion)
-        if d is not None
-        else 2 * b.rank * math.prod(b.torsion)
-        for d in map(a.generator_order, range(a.ncoords))
+        for e in sorted(set(col_steps))
+        for f in sorted(set(row_steps)) + [math.inf]
     )
-    if combos > bound:
-        raise ResourceLimitExceeded(
-            f"{combos} generator-image combinations exceed the bound {bound}"
-        )
-    torsion_elems = list(b.torsion_elements())
-    per_gen: list[list[tuple[int, ...]]] = []
-    for i in range(a.ncoords):
-        d = a.generator_order(i)
-        if d is None:
-            images = [
-                b.add(b.scale(s, b.generator(f)), t)
-                for s in (1, -1)
-                for f in range(b.rank)
-                for t in torsion_elems
-            ]
-        else:
-            images = [t for t in torsion_elems if b.scale(d, t) == b.zero()]
-        per_gen.append(images)
-    relation_rows = [
-        [d if j == b.rank + jj else 0 for j in range(b.ncoords)]
-        for jj, d in enumerate(b.torsion)
-    ]
-    out = []
-    for images in itertools.product(*per_gen) if per_gen else [()]:
-        rows = [list(img) for img in images] + [list(r) for r in relation_rows]
-        if b.ncoords == 0 or quotient_group(rows, b.ncoords)[0].is_trivial:
-            out.append(images)
-    return out
 
 
-def _apply_hom(b: AbGroup, images, x) -> tuple[int, ...]:
-    out = b.zero()
-    for xi, img in zip(x, images):
-        if xi:
-            out = b.add(out, b.scale(xi, img))
-    return out
-
-
-def picard_equivalent(p: PicardData, q: PicardData, search_bound: int = 20000) -> bool:
+def picard_equivalent(p: PicardData, q: PicardData) -> bool:
     """Whether two Picard data present equivalent symmetric monoidal groupoids.
 
-    True exactly when isomorphisms of the two group pairs exist that
-    intertwine the k-invariant.  Antisymmetry makes the k-invariant additive,
-    so checking it on generators suffices.  The search enumerates generator
-    images and raises ResourceLimitExceeded beyond ``search_bound``.
+    Picard groupoids are stable 1-types, classified by pi0, pi1 and k (Sinh
+    1975; Johnson and Osorno 2012).  Aut(pi0) acts on pi0/2pi0 as the
+    stabilizer of the increasing 2-adic exponent flag, Aut(pi1) on pi1[2] as
+    that of the decreasing one, so the corner ranks of k, not the ranks of
+    its blocks, decide its orbit.  The associator table takes no part.
     """
-    if p.pi0.invariants != q.pi0.invariants:
-        return False
-    if p.pi1.invariants != q.pi1.invariants:
-        return False
-    cands0 = _iso_candidates(p.pi0, q.pi0, search_bound)
-    cands1 = _iso_candidates(p.pi1, q.pi1, search_bound)
-    if len(cands0) * len(cands1) > search_bound:
-        raise ResourceLimitExceeded(
-            f"{len(cands0)} x {len(cands1)} isomorphism pairs exceed the bound"
-        )
-    gens = p.pi0.generators()
-    k_values = [p.c_of(g, g) for g in gens]
-    for phi0 in cands0:
-        for phi1 in cands1:
-            if all(
-                _apply_hom(q.pi1, phi1, kv) == q.c_of(img, img)
-                for kv, img in zip(k_values, phi0)
-            ):
-                return True
-    return False
+    return (
+        p.pi0.invariants == q.pi0.invariants
+        and p.pi1.invariants == q.pi1.invariants
+        and _corner_ranks(p) == _corner_ranks(q)
+    )
 
 
 # -- JSON -------------------------------------------------------------------

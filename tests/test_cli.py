@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import time
 
@@ -84,6 +85,23 @@ class TestCat:
     def test_validate(self, files):
         result = ok("cat", "validate", files["cyclic3"])
         assert result == {"groupoid": True, "problems": [], "valid": True}
+
+    def test_validate_checks_the_axioms_once(self, files, monkeypatch):
+        calls = []
+        check = fincat.validate_category
+        monkeypatch.setattr(fincat, "validate_category", lambda c: calls.append(c) or check(c))
+        assert ok("cat", "validate", files["cyclic3"])["valid"]
+        assert len(calls) == 1
+
+    def test_validate_broken_names_the_first_problem(self, tmp_path):
+        # r1 r1 = r0 breaks associativity in the group of order 3.
+        doc = to_json(cyclic_group_category(3))
+        doc["compose"] = [[f, g, "r0" if (f, g) == ("r1", "r1") else h] for f, g, h in doc["compose"]]
+        c = cyclic_group_category(3)
+        broken = dataclasses.replace(c, table={**c.table, (1, 1): 0})
+        report = dispatch(("cat", "validate", write(tmp_path, "broken.json", doc)))
+        assert report.exit_code == 1
+        assert report.error == f"ValueError: {fincat.validate_category(broken)[0]}"
 
     def test_missing_file_is_domain_error(self):
         report = dispatch(("cat", "pi0", "/nonexistent/file.json"))
@@ -344,20 +362,24 @@ class TestPicard:
         report = dispatch(("picard", "k", "--input", files["svect"], "--element", "1,2"))
         assert report.exit_code == 1
 
-    def test_equivalent_is_budgeted_before_listing(self, tmp_path, capsys):
-        # Z/10^6 has 10^6 images for its generator; the count is refused in
-        # closed form, before the torsion subgroup is listed.
+    def test_equivalent_answers_large_cyclic(self, tmp_path, capsys):
+        # Z/10^8 has 10^8 images for its generator; the corner ranks of k
+        # decide equivalence without listing any of them.
         big = write(tmp_path, "big.json", {
-            "pi0": {"rank": 0, "torsion": [10**6]},
-            "pi1": {"rank": 0, "torsion": []},
-            "c": [[[]]],
+            "pi0": {"rank": 0, "torsion": [10**8]},
+            "pi1": {"rank": 0, "torsion": [10**8]},
+            "c": [[[0]]],
             "h": [],
         })
         start = time.perf_counter()
-        assert main(["picard", "equivalent", big, big]) == 2
-        assert time.perf_counter() - start < 1
-        error = json.loads(capsys.readouterr().out)["error"]
-        assert "1000000 generator-image combinations" in error and "bound 20000" in error
+        assert main(["picard", "equivalent", big, big]) == 0
+        assert time.perf_counter() - start < 0.1
+        assert json.loads(capsys.readouterr().out)["result"] == {"equivalent": True}
+
+    def test_search_bound_is_unrecognized(self, files):
+        report = dispatch(("picard", "equivalent", files["svect"], files["svect"], "--search-bound", "5"))
+        assert report.exit_code == 1
+        assert report.error.startswith("unrecognized command line")
 
 
 class TestFrob:

@@ -1,6 +1,8 @@
+import functools
 import itertools
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -45,12 +47,16 @@ from cobcat.monoidal import (
     picard_from_json,
     units_invariants,
 )
+import monoidal_helpers
 from monoidal_helpers import (
+    diagonal_picards,
+    flag_orbits,
     frobenius_to_json,
     invertibility_check,
     mat_kron,
     mat_to_json_per_entry,
     mat_transpose,
+    picard_from_columns,
     picard_to_json,
 )
 
@@ -362,16 +368,109 @@ class TestPicardEquivalence:
         assert picard_equivalent(first, both)
         assert not picard_equivalent(first, trivial)
 
-    def test_resource_bound(self):
-        p = graded_lines_picard(13)
-        with pytest.raises(ResourceLimitExceeded):
-            picard_equivalent(p, p, search_bound=1)
+    def test_large_cyclic_answers(self):
+        g = AbelianInvariants(0, (10**8,))
+        p = picard(g, g, (((0,),),))
+        start = time.perf_counter()
+        assert picard_equivalent(p, p)
+        assert time.perf_counter() - start < 0.1
 
-    def test_high_rank_refused(self):
-        g = AbelianInvariants(2, ())
-        p = picard(g, AbelianInvariants(0, ()), (((), ()), ((), ())))
-        with pytest.raises(ResourceLimitExceeded):
-            picard_equivalent(p, p)
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_high_rank_answers(self, rank):
+        # On Z^rank the k-invariant can sit on any free generator: a change
+        # of basis moves it, but nothing moves it to zero.
+        pi0, pi1 = AbelianInvariants(rank, ()), AbelianInvariants(0, (2,))
+        z, o = (0,), (1,)
+        table = lambda *diag: [[diag[i] if i == j else z for j in range(rank)] for i in range(rank)]
+        first = picard(pi0, pi1, table(o, *[z] * (rank - 1)))
+        last = picard(pi0, pi1, table(*[z] * (rank - 1), o))
+        every = picard(pi0, pi1, table(*[o] * rank))
+        trivial = picard(pi0, pi1, table(*[z] * rank))
+        assert picard_equivalent(first, last)
+        assert picard_equivalent(first, every)
+        assert not picard_equivalent(first, trivial)
+
+
+# Groups with two 2-adic exponent levels each, paired every way.
+LEVELS = (AbelianInvariants(0, (2, 4)), AbelianInvariants(1, (2,)), AbelianInvariants(1, (2, 4)))
+
+# A sample of the group pairs of order at most 8 and free rank at most 1,
+# beyond LEVELS: a third exponent level, odd torsion, repeated factors and
+# trivial groups.
+SMALL = [
+    (AbelianInvariants(0, (8,)), AbelianInvariants(0, (2, 4))),
+    (AbelianInvariants(0, (2, 4)), AbelianInvariants(0, (8,))),
+    (AbelianInvariants(0, (2, 2, 2)), AbelianInvariants(0, (4,))),
+    (AbelianInvariants(0, (2, 2)), AbelianInvariants(1, (4,))),
+    (AbelianInvariants(1, (4,)), AbelianInvariants(0, (2, 2))),
+    (AbelianInvariants(1, ()), AbelianInvariants(0, (8,))),
+    (AbelianInvariants(0, (6,)), AbelianInvariants(1, (6,))),
+    (AbelianInvariants(1, (3,)), AbelianInvariants(0, (2, 2))),
+    (AbelianInvariants(0, (7,)), AbelianInvariants(0, (2,))),
+    (AbelianInvariants(0, ()), AbelianInvariants(0, (2,))),
+    (AbelianInvariants(0, (2,)), AbelianInvariants(0, ())),
+]
+
+# Free rank 2 and 3, where the search refuses, with two or three exponent
+# levels on each side and odd torsion.
+HIGH_RANK = [
+    (AbelianInvariants(2, (2, 4)), AbelianInvariants(0, (2, 4))),
+    (AbelianInvariants(3, (2, 4)), AbelianInvariants(0, (2, 4))),
+    (AbelianInvariants(3, (4,)), AbelianInvariants(1, (2, 4))),
+    (AbelianInvariants(2, (2,)), AbelianInvariants(0, (2, 4, 8))),
+    (AbelianInvariants(2, (3, 6)), AbelianInvariants(0, (6, 12))),
+]
+
+
+class TestPicardEquivalenceOracles:
+    """``picard_equivalent`` splits the diagonal tables on a pair of groups
+    into the same classes as an oracle: each table against the first table
+    of its class, and the first tables against each other."""
+
+    @pytest.fixture
+    def search(self, monkeypatch):
+        # The search lists the same isomorphisms and applies them to the same
+        # elements for every pair on one pair of groups; remembering those
+        # pure results keeps the corpus to a few seconds.
+        for owner, name in [
+            (monoidal_helpers, "iso_candidates"),
+            (monoidal_helpers, "apply_hom"),
+            (PicardData, "c_of"),
+        ]:
+            monkeypatch.setattr(owner, name, functools.cache(getattr(owner, name)))
+        return monoidal_helpers.search_equivalent
+
+    @pytest.mark.parametrize(
+        "pi0, pi1",
+        list(itertools.product(LEVELS, repeat=2)) + SMALL,
+        ids=lambda g: g.describe(),
+    )
+    def test_agrees_with_search(self, search, pi0, pi1):
+        # A search that finds no isomorphism lists them all, so the first
+        # tables are checked in sequence; the flag orbits below check every
+        # pair of them.
+        firsts = []
+        for p in diagonal_picards(pi0, pi1):
+            first = next((f for f in firsts if picard_equivalent(f, p)), None)
+            if first is None:
+                firsts.append(p)
+            else:
+                assert search(first, p), (first.c_table, p.c_table)
+        for a, b in zip(firsts, firsts[1:]):
+            assert not search(a, b), (a.c_table, b.c_table)
+
+    @pytest.mark.parametrize(
+        "pi0, pi1",
+        HIGH_RANK + list(itertools.product(LEVELS, repeat=2)),
+        ids=lambda g: g.describe(),
+    )
+    def test_agrees_with_flag_orbits(self, pi0, pi1):
+        first = flag_orbits(pi0, pi1)
+        data = {k: picard_from_columns(pi0, pi1, k) for k in first}
+        for k, f in first.items():
+            assert picard_equivalent(data[f], data[k]), (f, k)
+        for a, b in itertools.combinations(sorted(set(first.values())), 2):
+            assert not picard_equivalent(data[a], data[b]), (a, b)
 
 
 class TestCob1Picard:
