@@ -6,6 +6,9 @@ wall-clock timing goes to standard error where it cannot disturb golden
 files.  Exit codes: 0 on success, 1 on a domain error (bad input, unknown
 command), 2 when a resource ceiling is exceeded, 3 when one of the
 program's own self-checks fails (an internal error).
+
+Each handler imports the modules it runs when it is called, so one
+invocation compiles only those: ``cat validate`` loads no cobordism code.
 """
 
 from __future__ import annotations
@@ -18,8 +21,6 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 
-from . import cob1, cob2, fincat, localize, monoidal, nerve
-from .exactmath import abelianize
 from .limits import ResourceLimitExceeded, check_count
 
 
@@ -135,6 +136,9 @@ def _load(path: str):
 
 
 def _run_cat(args) -> object:
+    from . import exactmath, fincat, nerve
+    if args.subcommand == "homology" and args.max_cells is not None and args.max_cells < 1:
+        raise ValueError(f"--max-cells must be positive, got {args.max_cells}")
     c = fincat.from_json(_load(args.path))
     if args.subcommand == "homology":
         groups = nerve.homology(nerve.build_nerve(c, args.cap, args.max_cells))
@@ -142,7 +146,7 @@ def _run_cat(args) -> object:
     if args.subcommand == "pi1":
         p = nerve.fundamental_group(c, args.base)
         return {
-            "abelianized": abelianize(p).to_json(),
+            "abelianized": exactmath.abelianize(p).to_json(),
             "base": args.base,
             "generators": list(p.generators),
             "relators": [p.render_word(r) for r in p.relators],
@@ -156,7 +160,9 @@ def _run_cat(args) -> object:
 
 def _run_localize(args) -> object:
     if args.subcommand == "surfaces":
+        from . import localize
         return localize.surface_localization_group(args.max_chi).to_json()
+    from . import fincat, localize, nerve
     c = fincat.from_json(_load(args.path))
     invariants, classes = localize.abelian_loop_classes(c, args.base)
     p = nerve.fundamental_group(c, args.base)
@@ -173,6 +179,7 @@ def _run_localize(args) -> object:
 
 
 def _run_cob1(args) -> object:
+    from . import cob1
     if args.subcommand == "compose":
         a = cob1.diagram_from_json(_load(args.first))
         b = cob1.diagram_from_json(_load(args.second))
@@ -184,6 +191,7 @@ def _run_cob1(args) -> object:
 
 
 def _run_cob2(args) -> object:
+    from . import cob2
     if args.subcommand == "compose":
         a = cob2.surface_from_json(_load(args.first))
         b = cob2.surface_from_json(_load(args.second))
@@ -215,6 +223,7 @@ def _parse_element(text: str) -> tuple[int, ...]:
 
 
 def _run_picard(args) -> object:
+    from . import monoidal
     if args.subcommand == "k":
         p = monoidal.picard_from_json(_load(args.input))
         x = p.pi0.normalize(_parse_element(args.element))
@@ -227,6 +236,7 @@ def _run_picard(args) -> object:
 
 
 def _run_frob(args) -> object:
+    from . import cob1, monoidal
     theory = monoidal.frobenius_from_json(_load(args.theory))
     if args.subcommand == "extend":
         ext = monoidal.extend_to_full(theory)
@@ -258,6 +268,7 @@ def _run_frob(args) -> object:
 
 
 def _run_relations(args) -> object:
+    from . import fincat, localize, nerve
     c = fincat.from_json(_load(args.path))
     if args.base is not None:
         bases = [args.base]

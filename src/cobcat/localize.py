@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 from math import comb
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .cob2 import (
     S2,
@@ -43,9 +43,10 @@ from .exactmath import (
     quotient_group,
     reduce_lattice_rows,
 )
-from .fincat import FinCat
 from .limits import check_count
-from .nerve import component_objects, fundamental_group
+
+if TYPE_CHECKING:
+    from .fincat import FinCat
 
 
 @dataclass(frozen=True)
@@ -109,6 +110,7 @@ def abelian_loop_classes(
     Returns ``(invariants, classes)`` where ``classes[f]`` is the coordinate
     vector of morphism f transported to the basepoint; identities are zero.
     """
+    from .nerve import component_objects, fundamental_group
     p = fundamental_group(c, basepoint)
     invariants, gen_classes = quotient_group(p.exponent_matrix(), len(p.generators))
     zero = [(0, mod) for _, mod in gen_classes[0]] if gen_classes else []

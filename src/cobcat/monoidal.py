@@ -30,7 +30,6 @@ from .cob1 import (
 )
 from .exactmath import AbelianInvariants, json_array, strict_int
 from .limits import ResourceLimitExceeded, check_count
-from .localize import planar_localization_data
 
 # ---------------------------------------------------------------------------
 # Exact fields
@@ -456,9 +455,12 @@ class PicardData:
             if zero0 in (x, y, z) and v != zero1:
                 raise ValueError("associator must vanish on unit arguments")
         order = self.pi0.order()
-        if order is None or order > 16:
-            raise ValueError(
-                "nonzero associator tables are only supported on groups of order <= 16"
+        if order is None:
+            raise ValueError("nonzero associator tables are only supported on finite groups")
+        if order > 16:
+            raise ResourceLimitExceeded(
+                f"the associator cocycle check would visit {order}^4 = {order**4} "
+                f"quadruples, over the limit of 16^4 = {16**4}"
             )
         elems = list(self.pi0.elements())
         h = lambda x, y, z: lookup.get((x, y, z), zero1)
@@ -587,6 +589,7 @@ def cob1_picard(max_points: int = 8) -> DerivedPicard:
     difference zero.  Second, antisymmetry of the symmetry table forces
     2k = 0, and the automorphism group is torsion-free.
     """
+    from .localize import planar_localization_data
     data = planar_localization_data(max_points)
     if data.pi0 != AbelianInvariants(0, (2,)):
         raise ValueError(

@@ -1,9 +1,14 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import cobcat
 from cobcat import cli, cob1, cob2, fincat, nerve
 from cobcat.cli import RunReport, dispatch, main
 from fincat_helpers import cyclic_group_category, to_json
@@ -140,6 +145,12 @@ class TestCat:
         report = dispatch(("cat", "validate", write(tmp_path, "str.json", doc)))
         assert report.exit_code == 1
         assert set(report.payload()) == {"command", "error"}
+
+    @pytest.mark.parametrize("max_cells", ["0", "-3"])
+    def test_non_positive_max_cells_is_bad_input(self, files, max_cells):
+        report = dispatch(("cat", "homology", "--cap", "3", "--max-cells", max_cells, files["terminal"]))
+        assert report.exit_code == 1
+        assert report.error == f"ValueError: --max-cells must be positive, got {max_cells}"
 
     def test_cap_counts_against_the_cell_ceiling(self, files):
         report = dispatch(("cat", "homology", "--cap", "10", "--max-cells", "10", files["terminal"]))
@@ -376,6 +387,45 @@ class TestPicard:
         assert time.perf_counter() - start < 0.1
         assert json.loads(capsys.readouterr().out)["result"] == {"equivalent": True}
 
+    @staticmethod
+    def carry_associator(order: int) -> dict:
+        # h(a, b, c) = a * carry(b + c) mod 2: the cup product of the
+        # reduction Z/order -> Z/2 with the carry cocycle, so a 3-cocycle.
+        h = [
+            [[a], [b], [c], [1]]
+            for a in range(1, order, 2)
+            for b in range(1, order)
+            for c in range(1, order)
+            if b + c >= order
+        ]
+        return {
+            "pi0": {"rank": 0, "torsion": [order]},
+            "pi1": {"rank": 0, "torsion": [2]},
+            "c": [[[0]]],
+            "h": h,
+        }
+
+    def test_associator_check_is_priced(self, tmp_path):
+        small = write(tmp_path, "z4.json", self.carry_associator(4))
+        assert ok("picard", "equivalent", small, small) == {"equivalent": True}
+        big = write(tmp_path, "z32.json", self.carry_associator(32))
+        start = time.perf_counter()
+        report = dispatch(("picard", "equivalent", big, big))
+        assert time.perf_counter() - start < 1
+        assert report.exit_code == 2
+        assert "32^4 = 1048576 quadruples" in report.error and "16^4 = 65536" in report.error
+
+    def test_associator_on_a_free_group_is_bad_input(self, tmp_path):
+        doc = {
+            "pi0": {"rank": 1, "torsion": []},
+            "pi1": {"rank": 0, "torsion": [2]},
+            "c": [[[0]]],
+            "h": [[[1], [1], [1], [1]]],
+        }
+        report = dispatch(("picard", "k", "--input", write(tmp_path, "free.json", doc), "--element", "1"))
+        assert report.exit_code == 1
+        assert "finite groups" in report.error
+
     def test_search_bound_is_unrecognized(self, files):
         report = dispatch(("picard", "equivalent", files["svect"], files["svect"], "--search-bound", "5"))
         assert report.exit_code == 1
@@ -592,3 +642,77 @@ class TestReportShape:
         assert main(["nonsense"]) == 1
         assert main(["cat", "homology", "--max-cells", "5", files["s2poset"]]) == 2
         capsys.readouterr()
+
+
+SRC = Path(cobcat.__file__).resolve().parent.parent
+
+
+def fresh_python(*args: str) -> str:
+    """Standard output of a new interpreter, importing cobcat from SRC, that
+    exits 0."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        check=True,
+    ).stdout
+
+
+SURFACES = {"cli", "cob2", "exactmath", "limits", "localize"}
+PICARD = {"cli", "cob1", "exactmath", "limits", "monoidal"}
+
+
+class TestStartup:
+    """Each subcommand loads only the modules it runs."""
+
+    @pytest.mark.parametrize(
+        "argv, modules",
+        [
+            (["cat", "validate", "{parallel}"], {"cli", "exactmath", "fincat", "limits", "nerve"}),
+            (["cob1", "f", "{circle}"], {"cli", "cob1", "exactmath", "limits"}),
+            (["cob2", "euler", "{cylinder}"], {"cli", "cob2", "exactmath", "limits"}),
+            (["localize", "surfaces", "--max-chi", "2"], SURFACES),
+            (["localize", "aut", "--base", "*", "{cyclic3}"], SURFACES | {"fincat", "nerve"}),
+            (["relations", "{cyclic3}"], SURFACES | {"fincat", "nerve"}),
+            (["picard", "k", "--input", "{svect}", "--element", "1"], PICARD),
+            (["picard", "equivalent", "{svect}", "{graded}"], PICARD),
+            (["frob", "eval", "{theory}", "{cup}"], PICARD),
+            (["picard", "cob1", "--max-points", "4"], PICARD | {"cob2", "localize"}),
+        ],
+        ids=[
+            "cat", "cob1", "cob2", "localize-surfaces", "localize-aut", "relations",
+            "picard-k", "picard-equivalent", "frob", "picard-cob1",
+        ],
+    )
+    def test_modules_loaded_by_one_dispatch(self, files, argv, modules):
+        code = (
+            "import json, sys\n"
+            "from cobcat import cli\n"
+            "report = cli.dispatch(json.loads(sys.argv[1]))\n"
+            "assert report.exit_code == 0, report.error\n"
+            "print(json.dumps(sorted(k[7:] for k in sys.modules if k.startswith('cobcat.'))))\n"
+        )
+        argv = [arg.format(**files) for arg in argv]
+        out = fresh_python("-c", code, json.dumps(argv))
+        assert json.loads(out) == sorted(modules)
+
+    def test_entry_point_prints_one_document(self, files):
+        out = fresh_python("-m", "cobcat.cli", "cat", "validate", files["parallel"])
+        assert out.count("\n") == 1
+        assert json.loads(out)["result"]["valid"] is True
+
+    def test_submodules_resolve_on_first_access(self):
+        code = (
+            "import sys, cobcat\n"
+            "assert 'cobcat.nerve' not in sys.modules\n"
+            "print(cobcat.nerve.__name__)\n"
+        )
+        assert fresh_python("-c", code) == "cobcat.nerve\n"
+        assert cobcat.__getattr__("nerve") is nerve
+
+    def test_unknown_attribute_is_missing(self):
+        with pytest.raises(AttributeError, match="no_such_thing"):
+            cobcat.no_such_thing
+        assert not hasattr(cobcat, "no_such_thing")

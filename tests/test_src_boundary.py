@@ -180,3 +180,19 @@ def test_restored_helpers_are_reported(module):
     sources[module] += "\n\n" + pasted + "\n"
     missing = set(unreached(sources))
     assert {f"{module}.{node.name}" for node in nodes} <= missing
+
+
+def test_function_level_imports_reach():
+    # A handler that imports inside its body, as cli's do, reaches what it
+    # names; a definition nothing imports is still reported.
+    sources = {
+        "cli": (
+            "def run():\n"
+            "    from . import util\n"
+            "    from .other import helper\n"
+            "    return util.used() + helper()\n"
+        ),
+        "util": "def used():\n    return 1\n\n\ndef orphan():\n    return 2\n",
+        "other": "def helper():\n    return 3\n",
+    }
+    assert unreached(sources) == ["util.orphan"]
