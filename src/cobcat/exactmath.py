@@ -368,21 +368,6 @@ class AbelianInvariants:
 Word = tuple[int, ...]  # nonzero 1-based generator indices, sign = inverse
 
 
-def free_reduce(word: Iterable[int]) -> Word:
-    """Cancel adjacent inverse pairs.
-
-    >>> free_reduce((1, 2, -2, -1, 3))
-    (3,)
-    """
-    out: list[int] = []
-    for letter in word:
-        if out and out[-1] == -letter:
-            out.pop()
-        else:
-            out.append(letter)
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class GroupPresentation:
     """Finitely presented group: generator names plus relator words.

@@ -1,7 +1,7 @@
 """Shared resource-ceiling plumbing.
 
-Long-running enumerations (nerve cells, equivalence searches, surface and
-planar closings, commuting squares) refuse to grow past a configurable
+Long-running enumerations (nerve cells, surface and planar closings,
+commuting squares, relator matrices) refuse to grow past a configurable
 ceiling instead of exhausting memory or time.  The CLI maps
 :class:`ResourceLimitExceeded` to exit code 2.
 """
@@ -19,10 +19,8 @@ class ResourceLimitExceeded(RuntimeError):
 
 
 def max_cells_default() -> int:
-    """Cell ceiling from the environment, or the built-in default.
-
-    A malformed value is ignored rather than turned into a crash at import
-    time; the CLI flag still overrides whatever this returns.
+    """Cell ceiling from the environment, or the built-in default; the CLI
+    flag overrides it.  A value that is not a positive integer is bad input.
     """
     raw = os.environ.get(MAX_CELLS_ENV)
     if raw is None:
@@ -30,8 +28,10 @@ def max_cells_default() -> int:
     try:
         value = int(raw)
     except ValueError:
-        return DEFAULT_MAX_CELLS
-    return value if value > 0 else DEFAULT_MAX_CELLS
+        value = 0
+    if value < 1:
+        raise ValueError(f"{MAX_CELLS_ENV} must be a positive integer, got {raw!r}")
+    return value
 
 
 def check_count(count: int, work: str) -> None:

@@ -2,8 +2,8 @@
 
 Inverting every morphism of a category gives a groupoid whose automorphism
 groups are fundamental groups of the classifying space.  This module extracts
-those presentations, derives the commuting-square relators that any
-localization must satisfy, and runs one relator engine that computes the
+those presentations, with the class of every morphism of a component in
+the abelianized group, and runs one relator engine that computes the
 abelianized automorphism group of the empty object for two cobordism
 categories: closed surfaces (detected by Euler characteristic) and closed
 planar 1-manifold diagrams (detected by the signed circle count).
@@ -37,9 +37,9 @@ from .cob2 import (
 )
 from .exactmath import (
     AbelianInvariants,
+    GroupPresentation,
     UnionFind,
     Word,
-    free_reduce,
     quotient_group,
     reduce_lattice_rows,
 )
@@ -49,70 +49,28 @@ if TYPE_CHECKING:
     from .fincat import FinCat
 
 
-@dataclass(frozen=True)
-class RelationInstance:
-    """A commuting-square witness: w1, w2: y -> x and w3, w4: x -> y.
-
-    The four composites a = w1.w3, b = w2.w3, c = w1.w4, d = w2.w4 are
-    endomorphisms of x, and a.b^-1.d.c^-1 must die in any groupoid image.
-    """
-
-    base: FinCat
-    w1: int
-    w2: int
-    w3: int
-    w4: int
-
-    def __post_init__(self):
-        c = self.base
-        n = len(c.morphisms)
-        for w in (self.w1, self.w2, self.w3, self.w4):
-            if not 0 <= w < n:
-                raise ValueError(f"morphism index {w} out of range")
-        if c.src[self.w1] != c.src[self.w2] or c.tgt[self.w1] != c.tgt[self.w2]:
-            raise ValueError("w1 and w2 must be parallel")
-        if c.src[self.w3] != c.src[self.w4] or c.tgt[self.w3] != c.tgt[self.w4]:
-            raise ValueError("w3 and w4 must be parallel")
-        if c.src[self.w3] != c.tgt[self.w1] or c.tgt[self.w3] != c.src[self.w1]:
-            raise ValueError("w3 must run opposite to w1")
-
-    @property
-    def x(self) -> int:
-        return self.base.tgt[self.w1]
-
-    def composites(self) -> tuple[int, int, int, int]:
-        c = self.base
-        return (
-            c.compose(self.w3, self.w1),
-            c.compose(self.w3, self.w2),
-            c.compose(self.w4, self.w1),
-            c.compose(self.w4, self.w2),
-        )
-
-
-def relation_word(r: RelationInstance) -> Word:
-    """The relator a.b^-1.d.c^-1 as a word over morphism letters.
-
-    Letters are 1-based morphism indices of the base category with sign for
-    inversion, freely reduced; the degenerate instance w1 = w2, w3 = w4
-    reduces to the empty word.
-    """
-    a, b, c, d = r.composites()
-    return free_reduce((a + 1, -(b + 1), d + 1, -(c + 1)))
-
-
 def abelian_loop_classes(
     c: FinCat, basepoint: str
-) -> tuple[AbelianInvariants, dict[int, list[tuple[int, int]]]]:
+) -> tuple[AbelianInvariants, dict[int, list[tuple[int, int]]], GroupPresentation]:
     """Abelianized automorphism group at the basepoint with the class of
     every morphism of the component as a loop.
 
-    Returns ``(invariants, classes)`` where ``classes[f]`` is the coordinate
-    vector of morphism f transported to the basepoint; identities are zero.
+    Returns ``(invariants, classes, presentation)`` where ``classes[f]`` is
+    the coordinate vector of morphism f transported to the basepoint
+    (identities are zero) and ``presentation`` is the one of
+    ``nerve.fundamental_group`` they are read from.  Its dense relator
+    matrix, rows times generators entries, is held to the cell ceiling
+    before it is reduced.
     """
     from .nerve import component_objects, fundamental_group
     p = fundamental_group(c, basepoint)
-    invariants, gen_classes = quotient_group(p.exponent_matrix(), len(p.generators))
+    rows, width = len(p.relators), len(p.generators)
+    check_count(
+        rows * width,
+        f"the presentation at {basepoint} would reduce {rows} relators over "
+        f"{width} generators, {rows * width} matrix entries",
+    )
+    invariants, gen_classes = quotient_group(p.exponent_matrix(), width)
     zero = [(0, mod) for _, mod in gen_classes[0]] if gen_classes else []
     classes: dict[int, list[tuple[int, int]]] = {}
     letter = {name: i for i, name in enumerate(p.generators)}
@@ -122,28 +80,34 @@ def abelian_loop_classes(
             continue
         name = c.morphisms[f]
         classes[f] = gen_classes[letter[name]] if name in letter else list(zero)
-    return invariants, classes
+    return invariants, classes, p
+
+
+def relation_word(c: FinCat, f: int, g: int) -> Word:
+    """The relator g.f.(g after f)^-1 of a composable pair f: x -> y,
+    g: y -> z, as a word over morphism letters: 1-based morphism indices of
+    the base category, negative for an inverse.
+
+    ``nerve.fundamental_group`` has this relator for every composable pair
+    of non-identities, so its class vanishes exactly when the class of the
+    composite is the sum of the classes of f and g.  Then the class map is
+    a functor to an abelian group, and every commuting-square word
+    a.b^-1.d.c^-1 vanishes with it.
+    """
+    return (g + 1, f + 1, -(c.compose(f, g) + 1))
 
 
 def word_class(
     classes: Mapping[int, list[tuple[int, int]]], word: Iterable[int]
 ) -> tuple[int, ...]:
     """Evaluate a morphism-letter word in the abelianized coordinates."""
-    acc: list[int] | None = None
+    moduli = [mod for _, mod in next(iter(classes.values()))]
+    acc = [0] * len(moduli)
     for letter in word:
-        vec = classes[abs(letter) - 1]
-        if acc is None:
-            acc = [0] * len(vec)
         sign = 1 if letter > 0 else -1
-        for i, (v, mod) in enumerate(vec):
+        for i, (v, _) in enumerate(classes[abs(letter) - 1]):
             acc[i] += sign * v
-            if mod:
-                acc[i] %= mod
-    if acc is None:
-        for vec in classes.values():
-            return tuple(0 for _ in vec)
-        return ()
-    return tuple(acc)
+    return tuple(a % mod if mod else a for a, mod in zip(acc, moduli))
 
 
 # ---------------------------------------------------------------------------

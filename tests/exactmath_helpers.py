@@ -1,11 +1,27 @@
 """Word reductions and Tietze simplification of group presentations, which
-only the tests use to compare presentations up to isomorphism."""
+only the tests use to compare presentations up to isomorphism and to reduce
+the commuting-square words of the relations oracle."""
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from cobcat.exactmath import GroupPresentation, Word, free_reduce
+from cobcat.exactmath import GroupPresentation, Word
+
+
+def free_reduce(word: Iterable[int]) -> Word:
+    """Cancel adjacent inverse pairs.
+
+    >>> free_reduce((1, 2, -2, -1, 3))
+    (3,)
+    """
+    out: list[int] = []
+    for letter in word:
+        if out and out[-1] == -letter:
+            out.pop()
+        else:
+            out.append(letter)
+    return tuple(out)
 
 
 def cyclic_reduce(word: Iterable[int]) -> Word:

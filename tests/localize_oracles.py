@@ -11,7 +11,9 @@ runs the engine's sweep on it, and ``ray_parity_forest`` nests planar
 circles by pairwise ray parities, against which that sweep is checked.
 ``induced_automorphism_map`` carries a functor into a groupoid over to the
 automorphism group at a basepoint, checking that every presentation relator
-dies there.
+dies there.  ``brute_force_relations`` evaluates every commuting-square word
+of a finite category one ``RelationInstance`` at a time, the loop that
+``relations`` ran before it checked the class map on composable pairs.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Mapping, Sequence
 
 from cobcat.cob2 import S2, ConnectedClass, SurfaceCobordism, compose_surface, surface_class
 from cobcat.fincat import FinCat, is_groupoid
-from cobcat.exactmath import AbelianInvariants, quotient_group, reduce_lattice_rows
+from cobcat.exactmath import AbelianInvariants, Word, quotient_group, reduce_lattice_rows
 from cobcat.localize import (
     Tree,
     _count_row,
@@ -30,12 +32,82 @@ from cobcat.localize import (
     _forest,
     _partners,
     _relator_engine,
+    abelian_loop_classes,
     connected_generators,
     crossingless_matchings,
     enumerate_trees,
+    word_class,
 )
-from cobcat.nerve import fundamental_group
+from cobcat.nerve import component_objects, fundamental_group
+from exactmath_helpers import free_reduce
 from fincat_helpers import Functor, check_functor
+
+
+@dataclass(frozen=True)
+class RelationInstance:
+    """A commuting-square witness: w1, w2: y -> x and w3, w4: x -> y.
+
+    The four composites a = w1.w3, b = w2.w3, c = w1.w4, d = w2.w4 are
+    endomorphisms of x, and a.b^-1.d.c^-1 must die in any groupoid image.
+    """
+
+    base: FinCat
+    w1: int
+    w2: int
+    w3: int
+    w4: int
+
+    def __post_init__(self):
+        c = self.base
+        n = len(c.morphisms)
+        for w in (self.w1, self.w2, self.w3, self.w4):
+            if not 0 <= w < n:
+                raise ValueError(f"morphism index {w} out of range")
+        if c.src[self.w1] != c.src[self.w2] or c.tgt[self.w1] != c.tgt[self.w2]:
+            raise ValueError("w1 and w2 must be parallel")
+        if c.src[self.w3] != c.src[self.w4] or c.tgt[self.w3] != c.tgt[self.w4]:
+            raise ValueError("w3 and w4 must be parallel")
+        if c.src[self.w3] != c.tgt[self.w1] or c.tgt[self.w3] != c.src[self.w1]:
+            raise ValueError("w3 must run opposite to w1")
+
+    def composites(self) -> tuple[int, int, int, int]:
+        c = self.base
+        return (
+            c.compose(self.w3, self.w1),
+            c.compose(self.w3, self.w2),
+            c.compose(self.w4, self.w1),
+            c.compose(self.w4, self.w2),
+        )
+
+
+def square_word(r: RelationInstance) -> Word:
+    """The relator a.b^-1.d.c^-1 as a word over morphism letters.
+
+    Letters are 1-based morphism indices of the base category with sign for
+    inversion, freely reduced; the degenerate instance w1 = w2, w3 = w4
+    reduces to the empty word.
+    """
+    a, b, c, d = r.composites()
+    return free_reduce((a + 1, -(b + 1), d + 1, -(c + 1)))
+
+
+def brute_force_relations(c: FinCat, bases: Sequence[str]) -> tuple[int, int]:
+    """``(checked, nonvanishing)`` over the components of the given bases:
+    every commuting square w1, w2: y -> x, w3, w4: x -> y is built and its
+    word evaluated in the abelianized classes, Σ |hom(y,x)|²·|hom(x,y)|²
+    instances in all."""
+    checked = nonvanishing = 0
+    for base in bases:
+        _, classes, _ = abelian_loop_classes(c, base)
+        objects = sorted(component_objects(c, base))
+        for x in objects:
+            for y in objects:
+                forth, back = c.hom(y, x), c.hom(x, y)
+                for ws in itertools.product(forth, forth, back, back):
+                    checked += 1
+                    word = square_word(RelationInstance(c, *ws))
+                    nonvanishing += any(word_class(classes, word))
+    return checked, nonvanishing
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,14 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import cobcat
-from cobcat import cli, cob1, cob2, fincat, nerve
+from cobcat import cli, cob1, cob2, fincat, limits, nerve
 from cobcat.cli import RunReport, dispatch, main
-from fincat_helpers import cyclic_group_category, to_json
+from fincat_helpers import cyclic_group_category, disjoint_union, product, to_json
+from localize_oracles import brute_force_relations
 
 
 def write(tmp_path, name, doc):
@@ -60,6 +63,37 @@ def ok(*argv) -> object:
     assert report.exit_code == 0, report.error
     assert report.error is None
     return report.result
+
+
+@st.composite
+def relation_categories(draw):
+    """Cyclic groups, parallel pairs and subset posets, and products and
+    disjoint unions of two of them, with at most 50 morphisms."""
+
+    def atom():
+        kind = draw(st.sampled_from(["cyclic", "parallel", "subsets"]))
+        if kind == "cyclic":
+            return cyclic_group_category(draw(st.integers(1, 4)))
+        if kind == "subsets":
+            return fincat.subset_poset_category(draw(st.integers(2, 4)))
+        return fincat.parallel_pair()
+
+    shape = draw(st.sampled_from(["atom", "product", "union"]))
+    if shape == "atom":
+        return atom()
+    c = product(atom(), atom()) if shape == "product" else disjoint_union(atom(), atom())
+    assume(len(c.morphisms) <= 50)
+    return c
+
+
+def assert_relations_match_oracle(c, path, base=None):
+    """The command's report, over every component or the base's, against
+    the brute-force loop over every commuting square."""
+    bases = [comp[0] for comp in nerve.pi0(c)] if base is None else [base]
+    checked, nonvanishing = brute_force_relations(c, bases)
+    assert nonvanishing == 0
+    argv = ("relations", path) if base is None else ("relations", "--base", base, path)
+    assert ok(*argv) == {"checked": checked, "components": len(bases), "nonvanishing": 0}
 
 
 class TestCat:
@@ -239,6 +273,13 @@ class TestLocalize:
         assert modulus == 3 and value % 3 != 0
         doubled = (2 * value) % 3
         assert result["loop_classes"]["r2"] == [[doubled, 3]]
+
+    def test_aut_builds_the_presentation_once(self, files, monkeypatch):
+        calls = []
+        real = nerve.fundamental_group
+        monkeypatch.setattr(nerve, "fundamental_group", lambda c, base: calls.append(base) or real(c, base))
+        assert ok("localize", "aut", "--base", "*", files["cyclic3"])["generators"] == ["r1", "r2"]
+        assert calls == ["*"]
 
     def test_surfaces(self, files):
         result = ok("localize", "surfaces", "--max-chi", "4")
@@ -554,6 +595,92 @@ class TestRelations:
         assert "81 commuting squares" in error and "ceiling of 80" in error
         monkeypatch.setenv("COBCAT_MAX_CELLS", "81")
         assert ok("relations", files["cyclic3"])["checked"] == 81
+
+    @pytest.mark.parametrize("name", ["s2poset", "parallel", "cyclic3", "cyclic5", "terminal"])
+    def test_brute_force_oracle_on_corpus(self, files, name):
+        c = fincat.from_json(json.loads(Path(files[name]).read_text()))
+        assert_relations_match_oracle(c, files[name])
+
+    @settings(max_examples=40, deadline=None)
+    @given(relation_categories(), st.data())
+    def test_brute_force_oracle_on_drawn_categories(self, tmp_path_factory, c, data):
+        path = write(tmp_path_factory.getbasetemp(), "drawn.json", to_json(c))
+        assert_relations_match_oracle(c, path, data.draw(st.none() | st.sampled_from(c.objects)))
+
+    def test_a_dropped_relator_is_an_internal_error(self, tmp_path, monkeypatch):
+        real = nerve.fundamental_group
+
+        def drop_last(c, basepoint):
+            p = real(c, basepoint)
+            return dataclasses.replace(p, relators=p.relators[:-1])
+
+        monkeypatch.setattr(nerve, "fundamental_group", drop_last)
+        report = dispatch(("relations", write(tmp_path, "cyc2.json", to_json(cyclic_group_category(2)))))
+        assert report.exit_code == 3
+        assert report.error == (
+            "internal error: AssertionError: class of r0 is not the sum of the classes of r1 and r1"
+        )
+
+    def test_cyclic_group_of_order_31(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("COBCAT_MAX_CELLS", raising=False)
+        path = write(tmp_path, "cyc31.json", to_json(cyclic_group_category(31)))
+        start = time.perf_counter()
+        result = ok("relations", path)
+        assert time.perf_counter() - start < 1
+        assert result == {"checked": 31**4, "components": 1, "nonvanishing": 0}
+
+
+def chain_category(n: int) -> fincat.FinCat:
+    return fincat.poset_category([f"c{i}" for i in range(n)], lambda a, b: int(a[1:]) <= int(b[1:]))
+
+
+class TestRelatorPrice:
+    """``relations`` and ``localize aut`` hold the dense relator matrix,
+    rows times generators, to the cell ceiling before reducing it."""
+
+    @pytest.mark.parametrize("argv", [["relations"], ["localize", "aut", "--base", "c0"]])
+    def test_long_chain_is_refused_at_once(self, tmp_path, capsys, monkeypatch, argv):
+        # 29 tree edges and C(30, 3) composable pairs over C(30, 2) generators.
+        monkeypatch.delenv("COBCAT_MAX_CELLS", raising=False)
+        path = write(tmp_path, "chain30.json", to_json(chain_category(30)))
+        start = time.perf_counter()
+        assert main([*argv, path]) == 2
+        assert time.perf_counter() - start < 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert "4089 relators over 435 generators, 1778715 matrix entries" in error
+        assert "ceiling of 1000000" in error and "COBCAT_MAX_CELLS" in error
+
+    @pytest.mark.parametrize("argv", [["relations"], ["localize", "aut", "--base", "c0"]])
+    def test_price_is_exact(self, tmp_path, monkeypatch, argv):
+        # 4 tree edges and C(5, 3) pairs over C(5, 2) generators: 140 entries.
+        path = write(tmp_path, "chain5.json", to_json(chain_category(5)))
+        monkeypatch.setenv("COBCAT_MAX_CELLS", "139")
+        report = dispatch((*argv, path))
+        assert report.exit_code == 2 and "140 matrix entries" in report.error
+        monkeypatch.setenv("COBCAT_MAX_CELLS", "140")
+        ok(*argv, path)
+
+
+class TestCeilingVariable:
+    @pytest.mark.parametrize("value", ["0", "-2", "abc", ""])
+    @pytest.mark.parametrize("argv", [["cat", "homology", "--cap", "3"], ["relations"]])
+    def test_malformed_value_is_bad_input(self, files, monkeypatch, value, argv):
+        monkeypatch.setenv("COBCAT_MAX_CELLS", value)
+        report = dispatch((*argv, files["cyclic3"]))
+        assert report.exit_code == 1
+        assert report.error == (
+            f"ValueError: COBCAT_MAX_CELLS must be a positive integer, got {value!r}"
+        )
+
+    def test_flag_overrides_a_malformed_value(self, files, monkeypatch):
+        monkeypatch.setenv("COBCAT_MAX_CELLS", "abc")
+        ok("cat", "homology", "--cap", "3", "--max-cells", "100", files["cyclic3"])
+
+    def test_unset_gives_the_default(self, monkeypatch):
+        monkeypatch.delenv("COBCAT_MAX_CELLS", raising=False)
+        assert limits.max_cells_default() == 10**6
+        monkeypatch.setenv("COBCAT_MAX_CELLS", "7")
+        assert limits.max_cells_default() == 7
 
 
 class TestReportShape:

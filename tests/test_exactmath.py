@@ -15,14 +15,13 @@ from cobcat.exactmath import (
     IntMatrix,
     UnionFind,
     abelianize,
-    free_reduce,
     quotient_group,
     reduce_lattice_rows,
     smith_diagonal,
     smith_normal_form,
 )
 from cobcat.monoidal import QQ, mat_det
-from exactmath_helpers import cyclic_reduce, inverse_word, simplify_presentation
+from exactmath_helpers import cyclic_reduce, free_reduce, inverse_word, simplify_presentation
 
 
 def determinant(m):

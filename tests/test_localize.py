@@ -8,7 +8,6 @@ from cobcat.exactmath import AbelianInvariants, abelianize, quotient_group
 from cobcat.fincat import interval_category, parallel_pair, subset_poset_category
 from cobcat.limits import ResourceLimitExceeded
 from cobcat.localize import (
-    RelationInstance,
     abelian_loop_classes,
     connected_generators,
     crossingless_matchings,
@@ -27,13 +26,16 @@ from cobcat.nerve import fundamental_group
 from cob1_helpers import to_matching
 from fincat_helpers import Functor, cyclic_group_category
 from localize_oracles import (
+    RelationInstance,
     all_pairs_planar_engine,
+    brute_force_relations,
     closed_diagram_forest,
     SurfaceRelationInstance,
     composed_row,
     composed_surface_engine,
     induced_automorphism_map,
     ray_parity_forest,
+    square_word,
     surface_relator_vector,
     tree_nodes,
     tree_signed_count,
@@ -116,7 +118,7 @@ class TestRelationInstance:
     def test_degenerate_instance_reduces_to_identity(self):
         c = cyclic_group_category(4)
         r = RelationInstance(c, 1, 1, 2, 2)
-        assert relation_word(r) == ()
+        assert square_word(r) == ()
 
     def test_all_instances_vanish_in_abelianized_aut(self):
         categories = [
@@ -129,25 +131,27 @@ class TestRelationInstance:
         checked = 0
         for c in categories:
             assert len(c.morphisms) <= 60
-            class_cache = {}
-            for x in range(len(c.objects)):
-                for y in range(len(c.objects)):
-                    back = c.hom(x, y)
-                    forth = c.hom(y, x)
-                    if not back or not forth:
-                        continue
-                    if x not in class_cache:
-                        class_cache[x] = abelian_loop_classes(c, c.objects[x])
-                    _, classes = class_cache[x]
-                    for w1 in forth:
-                        for w2 in forth:
-                            for w3 in back:
-                                for w4 in back:
-                                    r = RelationInstance(c, w1, w2, w3, w4)
-                                    vec = word_class(classes, relation_word(r))
-                                    assert not any(vec)
-                                    checked += 1
+            # Every object as a base point, so each component is checked at
+            # every one of its objects.
+            count, nonvanishing = brute_force_relations(c, c.objects)
+            assert nonvanishing == 0
+            checked += count
         assert checked > 300
+
+
+class TestRelationWord:
+    def test_word_of_a_pair(self):
+        c = cyclic_group_category(4)
+        assert relation_word(c, 1, 2) == (3, 2, -4)
+        # r3 after r1 is the identity r0, whose class is zero.
+        assert relation_word(c, 1, 3) == (4, 2, -1)
+
+    def test_class_of_a_word_is_reduced(self):
+        c = cyclic_group_category(3)
+        _, classes, _ = abelian_loop_classes(c, "*")
+        assert word_class(classes, (2, 2, 2)) == (0,)
+        assert word_class(classes, (-2,)) == word_class(classes, (2, 2))
+        assert word_class(classes, ()) == (0,)
 
 
 class TestInducedMap:
