@@ -1,8 +1,8 @@
 """Shared resource-ceiling plumbing.
 
 Long-running enumerations (nerve cells, surface and planar closings,
-commuting squares, relator matrices) refuse to grow past a configurable
-ceiling instead of exhausting memory or time.  The CLI maps
+relator matrices) refuse to grow past a configurable ceiling instead of
+exhausting memory or time.  The CLI maps
 :class:`ResourceLimitExceeded` to exit code 2.
 """
 

@@ -8,33 +8,27 @@ abelianized automorphism group of the empty object for two cobordism
 categories: closed surfaces (detected by Euler characteristic) and closed
 planar 1-manifold diagrams (detected by the signed circle count).
 
-Surfaces are closed from their pieces' shapes (orientability, boundary signs
-and chi per component), memoized per shape pair, and only connected caps are
-closed: the other pairs add nothing to the relator lattice.  Planar circles
-are nested in one left-to-right sweep along the line, and a cup i meets a
-cap k only when i <= k and the two split at no common point: the other
-pairs are mirror images or sums of lower-level rows.  The engine counts each
-distinct composite into its row once.  Both engines hold their count of all
-cup-cap pairs to the cell ceiling before they enumerate anything, so the
-count over-counts the pairs closed.
+Surfaces are closed from shapes (orientability, boundary signs and chi per
+component), generated directly with no cobordism built and glued once per
+skeleton pair.  Only connected caps are closed: the other pairs add nothing
+to the relator lattice.  A connected cap meets every cup component, so each
+closing is one connected surface whose chi is the sum of its pieces' chis,
+and a pair whose sum leaves the basis is counted from those totals without
+being closed.  Planar circles are nested in one left-to-right sweep along
+the line, and a cup i meets a cap k only when i <= k and the two split at
+no common point: the other pairs are mirror images or sums of lower-level
+rows.  The engine counts each distinct composite into its row once.  Both
+engines hold their count of all cup-cap pairs to the cell ceiling before
+they enumerate anything, so the count over-counts the pairs closed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 from math import comb
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .cob2 import (
-    S2,
-    ConnectedClass,
-    SurfaceCobordism,
-    chi_of_class,
-    class_name,
-    component,
-    surface,
-)
+from .cob2 import S2, ConnectedClass, chi_of_class, class_name
 from .exactmath import (
     AbelianInvariants,
     GroupPresentation,
@@ -59,18 +53,12 @@ def abelian_loop_classes(
     the coordinate vector of morphism f transported to the basepoint
     (identities are zero) and ``presentation`` is the one of
     ``nerve.fundamental_group`` they are read from.  Its dense relator
-    matrix, rows times generators entries, is held to the cell ceiling
-    before it is reduced.
+    matrix is priced by ``nerve.check_presentation`` before it is reduced.
     """
-    from .nerve import component_objects, fundamental_group
+    from .nerve import check_presentation, component_objects, fundamental_group
     p = fundamental_group(c, basepoint)
-    rows, width = len(p.relators), len(p.generators)
-    check_count(
-        rows * width,
-        f"the presentation at {basepoint} would reduce {rows} relators over "
-        f"{width} generators, {rows * width} matrix entries",
-    )
-    invariants, gen_classes = quotient_group(p.exponent_matrix(), width)
+    check_presentation(p, basepoint)
+    invariants, gen_classes = quotient_group(p.exponent_matrix(), len(p.generators))
     zero = [(0, mod) for _, mod in gen_classes[0]] if gen_classes else []
     classes: dict[int, list[tuple[int, int]]] = {}
     letter = {name: i for i, name in enumerate(p.generators)}
@@ -127,7 +115,7 @@ def _count_row(items: Iterable, index: Mapping) -> list[int] | None:
 
 def _relator_engine(
     levels: Iterable[tuple], index: Mapping, positive: int
-) -> tuple[AbelianInvariants, tuple[tuple[tuple[int, int], ...], ...], int, int]:
+) -> tuple[AbelianInvariants, tuple[tuple[tuple[int, int], ...], ...], int]:
     """Z^len(index) modulo the commuting-square relators of the given levels.
 
     A level is ``(caps, cups, pairs, ref_cap, ref_cup, close)`` over one
@@ -136,46 +124,43 @@ def _relator_engine(
     coordinates.  Each ``(cap, cup)`` index pair in ``pairs`` gives the row
     ``close(cup, cap) - close(cup, ref_cap) - close(ref_cup, cap) +
     close(ref_cup, ref_cap)``; the row of a general square is the signed sum
-    of the rows of its four corners, so these span the same lattice.  Each
-    distinct composite is counted into its row once, and each distinct
-    triple of composite and references gives its row once.  Pairs whose
-    composite leaves the basis are skipped and counted, and zero or repeated
-    rows are dropped.  Free coordinates are flipped so that generator
-    ``positive`` lands on the positive side.
+    of the rows of its four corners, so these span the same lattice.  Every
+    composite must lie in the basis: a level hands over only such pairs.
+    Each distinct composite is counted into its row once, and each distinct
+    triple of composite and references gives its row once.  Zero or
+    repeated rows are dropped.  Free coordinates are flipped so that
+    generator ``positive`` lands on the positive side.
 
-    Returns ``(invariants, classes, relator row count, skipped instances)``.
+    Returns ``(invariants, classes, relator row count)``.
     """
     ids: dict = {}
-    counts: list[list[int] | None] = []
+    counts: list[list[int]] = []
 
     def intern(closed) -> int:
         i = ids.get(closed)
         if i is None:
+            row = _count_row(closed, index)
+            assert row is not None, f"closed composite {closed} leaves the basis"
             i = ids[closed] = len(counts)
-            counts.append(_count_row(closed, index))
+            counts.append(row)
         return i
 
-    skipped = 0
     seen: set[tuple[int, ...]] = set()
     rows: list[tuple[int, ...]] = []
     for caps, cups, pairs, ref_cap, ref_cup, close in levels:
         corner = counts[intern(close(ref_cup, ref_cap))]
         cap_refs = [intern(close(ref_cup, cap)) for cap in caps]
         cup_refs = [intern(close(cup, ref_cap)) for cup in cups]
-        assert corner is not None and None not in [counts[r] for r in cap_refs + cup_refs]
         done: set[tuple[int, int, int]] = set()
         for i, k in pairs:
-            a = intern(close(cups[k], caps[i]))
-            if counts[a] is None:
-                skipped += 1
-                continue
-            key = (a, cup_refs[k], cap_refs[i])
+            key = (intern(close(cups[k], caps[i])), cup_refs[k], cap_refs[i])
             if key in done:
                 continue
             done.add(key)
+            a, b, c = key
             row = tuple(
                 av - bv - cv + dv
-                for av, bv, cv, dv in zip(counts[a], counts[key[1]], counts[key[2]], corner)
+                for av, bv, cv, dv in zip(counts[a], counts[b], counts[c], corner)
             )
             if any(row) and row not in seen:
                 seen.add(row)
@@ -192,11 +177,11 @@ def _relator_engine(
         tuple((-v if pos in flips else v, mod) for pos, (v, mod) in enumerate(vec))
         for vec in classes
     )
-    return invariants, fixed, len(rows), skipped
+    return invariants, fixed, len(rows)
 
 
 # ---------------------------------------------------------------------------
-# Closed surfaces from piece shapes, and the localization class group.
+# Closed surfaces from shapes, and the localization class group.
 
 
 @dataclass(frozen=True)
@@ -250,53 +235,33 @@ def connected_generators(max_complexity: int) -> tuple[ConnectedClass, ...]:
     return tuple(out)
 
 
-def _pieces(
-    circles: tuple[str, ...], min_chi: int, as_cap: bool
-) -> list[SurfaceCobordism]:
-    """Cobordisms between the named circles and the empty manifold in which
-    every component touches a circle and has Euler characteristic at least
-    min_chi.
+def _shapes(n_circles: int, min_chi: int) -> list[tuple[tuple, tuple[int, ...]]]:
+    """``(skeleton, chis)`` of every cobordism between n_circles circles and
+    the empty manifold in which each component touches a circle and has
+    Euler characteristic at least min_chi.  A shape fits either side, so one
+    list serves as caps and as cups.
 
-    One circle forces a connected piece; two circles also admit a pair of
-    one-holed components, one per circle, and two epsilon variants of the
-    connected orientable shape.  A piece with b boundary circles has the
-    Euler characteristic of its closed shape minus b.
+    ``skeleton`` has per component ``(orientable, ((circle position, eps
+    sign or 0 if non-orientable), ...))`` and ``chis`` its chi.  One circle
+    forces a connected piece; two circles also admit a pair of one-holed
+    components, one per circle, and either relative sign on a connected
+    orientable piece.  A piece with b boundary circles has the Euler
+    characteristic of its closed shape minus b.
     """
-    src = circles if as_cap else ()
-    tgt = () if as_cap else circles
-
-    def comp(orientable, genus, owned, eps=None):
-        ins = owned if as_cap else ()
-        outs = () if as_cap else owned
-        return component(orientable, genus, ins, outs, eps)
-
-    singles = connected_generators(-(min_chi + 1))
-    if len(circles) == 1:
-        return [surface(src, tgt, [comp(o, g, circles)]) for o, g in singles]
-    pieces = []
-    for orientable, genus in connected_generators(-(min_chi + 2)):
-        if not orientable:
-            pieces.append(surface(src, tgt, [comp(False, genus, circles)]))
-            continue
-        for second_sign in (1, -1):
-            eps = {circles[0]: 1, circles[1]: second_sign}
-            pieces.append(surface(src, tgt, [comp(True, genus, circles, eps)]))
-    for first in singles:
-        for second in singles:
-            comps = [comp(*first, circles[:1]), comp(*second, circles[1:])]
-            pieces.append(surface(src, tgt, comps))
-    return pieces
-
-
-def _shape(piece: SurfaceCobordism, circles: tuple[str, ...]) -> tuple[tuple, tuple[int, ...]]:
-    """``(skeleton, chis)``: per component of the piece, ``(orientable,
-    ((circle position, eps sign or 0 if non-orientable), ...))`` and chi."""
-    skeleton = []
-    for comp in piece.components:
-        eps = {c: sign for _, c, sign in comp.eps}
-        owned = comp.in_circles + comp.out_circles
-        skeleton.append((comp.orientable, tuple((circles.index(c), eps.get(c, 0)) for c in owned)))
-    return tuple(skeleton), tuple(comp.chi for comp in piece.components)
+    holed = [(o, chi_of_class((o, g)) - 1) for o, g in connected_generators(-(min_chi + 1))]
+    if n_circles == 1:
+        return [(((o, ((0, int(o)),)),), (chi,)) for o, chi in holed]
+    shapes = [
+        (((o, ((0, int(o)), (1, sign))),), (chi_of_class((o, g)) - 2,))
+        for o, g in connected_generators(-(min_chi + 2))
+        for sign in ((1, -1) if o else (0,))
+    ]
+    shapes += [
+        (((o0, ((0, int(o0)),)), (o1, ((1, int(o1)),))), (chi0, chi1))
+        for o0, chi0 in holed
+        for o1, chi1 in holed
+    ]
+    return shapes
 
 
 def _glue(cup: tuple, cap: tuple) -> list[tuple[list[int], bool]]:
@@ -350,20 +315,23 @@ def surface_localization_group(max_complexity: int) -> SurfaceLocalizationResult
     components D, E adds no row.  Against a cup of one-holed components
     A, B it would close to (A u D) + (B u E), and the two-disc reference
     splits the same way, so that row is the sum R1(A, D) + R1(B, E) of two
-    one-circle rows, skipped exactly when one of those is.  Against a
-    connected cup it is the mirror image of the connected cap mirrored from
-    that cup against the split cup mirrored from D, E: the same closed
-    surfaces, so the same row.  Each closing is computed from the two
-    pieces' shapes, not by composing them.  Instances whose composite falls
-    outside the generator basis are skipped and counted.
+    one-circle rows, out of the basis exactly when one of those is.
+    Against a connected cup it is the mirror image of the connected cap
+    mirrored from that cup against the split cup mirrored from D, E: the
+    same closed surfaces, so the same row.  No piece is built: each level
+    runs on shapes, and a closing is glued from the two skeletons.  A
+    connected cap meets every cup component, so a closing is one connected
+    surface of chi the cap's plus the cup's, and the pairs whose sum falls
+    below -max_complexity leave the basis; they are counted as skipped
+    instances from those totals and never closed.
     The free coordinate is normalized so the sphere class is positive.
-    A closing count over the cell ceiling is refused before any piece is
-    built; the count is that of every cup-cap pair, so it over-counts the
-    pairs closed.
+    A closing count over the cell ceiling is refused before any shape is
+    generated; the count is that of every cup-cap pair, so it over-counts
+    the pairs closed.
     """
     if max_complexity < 0:
         raise ValueError("max_complexity must be nonnegative")
-    # s one-circle and c connected two-circle pieces, as _pieces enumerates
+    # s one-circle and c connected two-circle shapes, as _shapes enumerates
     # them, close in s^2 pairs over one circle and (c + s^2)^2 over two.
     s = (max_complexity + 1) // 2 + max_complexity + 2
     c = 2 * (max_complexity // 2 + 1) + max_complexity
@@ -374,17 +342,21 @@ def surface_localization_group(max_complexity: int) -> SurfaceLocalizationResult
     index = {(cls[0], chi_of_class(cls)): i for i, cls in enumerate(basis)}
     close = _shape_closer()
     levels = []
+    skipped = 0
     for n_circles in (1, 2):
-        circles = tuple(f"y{i}" for i in range(n_circles))
-        caps, cups, ref_caps, ref_cups = (
-            [_shape(piece, circles) for piece in _pieces(circles, min_chi, as_cap)]
-            for min_chi in (-max_complexity, 1)
-            for as_cap in (True, False)
-        )
-        connected_caps = [s for s in caps if len(s[0]) == 1]
-        pairs = product(range(len(connected_caps)), range(len(cups)))
-        levels.append((connected_caps, cups, pairs, ref_caps[0], ref_cups[0], close))
-    invariants, classes, relator_count, skipped = _relator_engine(
+        shapes = _shapes(n_circles, -max_complexity)
+        ref = _shapes(n_circles, 1)[0]
+        caps = [shape for shape in shapes if len(shape[0]) == 1]
+        cup_chis = [sum(chis) for _, chis in shapes]
+        pairs = [
+            (i, k)
+            for i, (_, (cap_chi,)) in enumerate(caps)
+            for k, cup_chi in enumerate(cup_chis)
+            if cap_chi + cup_chi >= -max_complexity
+        ]
+        skipped += len(caps) * len(shapes) - len(pairs)
+        levels.append((caps, shapes, pairs, ref, ref, close))
+    invariants, classes, relator_count = _relator_engine(
         levels, index, index[True, chi_of_class(S2)]
     )
     return SurfaceLocalizationResult(
@@ -566,7 +538,7 @@ def planar_localization_data(max_points: int = 8) -> PlanarLocalizationData:
     basis = tuple(enumerate_trees(max_points // 2))
     index = {tree: i for i, tree in enumerate(basis)}
     levels = (_planar_level(m) for m in range(2, max_points + 1, 2))
-    pi1, classes, _, _ = _relator_engine(levels, index, index[()])
+    pi1, classes, _ = _relator_engine(levels, index, index[()])
 
     # Objects: point counts joined by cups, so m and m + 2 are cobordant.
     pi0, _ = quotient_group([[2]], 1)

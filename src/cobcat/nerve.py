@@ -30,7 +30,7 @@ from .exactmath import (
     smith_diagonal,
 )
 from .fincat import FinCat
-from .limits import MAX_CELLS_ENV, ResourceLimitExceeded, max_cells_default
+from .limits import MAX_CELLS_ENV, ResourceLimitExceeded, check_count, max_cells_default
 
 DEFAULT_CAP = 3
 
@@ -396,4 +396,16 @@ def fundamental_group(c: FinCat, basepoint: str) -> GroupPresentation:
                 relators.append((gen_letter[g], gen_letter[f], -gen_letter[h]))
     return GroupPresentation(
         tuple(c.morphisms[f] for f in gens), tuple(relators)
+    )
+
+
+def check_presentation(p: GroupPresentation, basepoint: str) -> None:
+    """Hold the dense relator matrix of the presentation at the basepoint,
+    rows times generators entries, to the cell ceiling before anything
+    reduces it."""
+    rows, width = len(p.relators), len(p.generators)
+    check_count(
+        rows * width,
+        f"the presentation at {basepoint} would reduce {rows} relators over "
+        f"{width} generators, {rows * width} matrix entries",
     )

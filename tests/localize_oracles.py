@@ -1,11 +1,15 @@
 """Slow, independent paths that the localization tests compare against.
 
-The surface engine closes cup-cap pairs from piece shapes; these helpers
-close them by building the composite with ``cob2.compose_surface`` and
-classifying it, the way the engine did before.  ``all_pairs_planar_engine``
-closes every pair of matchings with dense rows, the way the planar engine
-did before it closed only mirror-distinct pairs that split at no common
-point.  The tree counts are the planar classes the planar engine must
+The surface engine generates piece shapes directly and closes only the
+pairs whose chi total stays in the basis.  ``_pieces`` and ``_shape`` build
+the pieces as cobordisms and read their shapes, and
+``piece_shape_localization`` runs the engine on them the way it ran
+before, closing every connected cap against every cup and dropping the
+pairs that leave the basis after closing them.  ``composed_surface_engine``
+closes each pair by building the composite with ``cob2.compose_surface``
+and classifying it.  ``all_pairs_planar_engine`` closes every pair of
+matchings with dense rows, the way the planar engine did before it closed
+only mirror-distinct pairs that split at no common point.  The tree counts are the planar classes the planar engine must
 reproduce.  ``closed_diagram_forest`` checks a cup-cap pair of matchings and
 runs the engine's sweep on it, and ``ray_parity_forest`` nests planar
 circles by pairwise ray parities, against which that sweep is checked.
@@ -18,20 +22,31 @@ of a finite category one ``RelationInstance`` at a time, the loop that
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
-from cobcat.cob2 import S2, ConnectedClass, SurfaceCobordism, compose_surface, surface_class
+from cobcat.cob2 import (
+    S2,
+    ConnectedClass,
+    SurfaceCobordism,
+    chi_of_class,
+    component,
+    compose_surface,
+    surface,
+    surface_class,
+)
 from cobcat.fincat import FinCat, is_groupoid
 from cobcat.exactmath import AbelianInvariants, Word, quotient_group, reduce_lattice_rows
 from cobcat.localize import (
+    SurfaceLocalizationResult,
     Tree,
     _count_row,
-    _pieces,
     _forest,
     _partners,
     _relator_engine,
+    _shape_closer,
     abelian_loop_classes,
     connected_generators,
     crossingless_matchings,
@@ -166,10 +181,104 @@ def surface_relator_vector(
     return row
 
 
+def _pieces(
+    circles: tuple[str, ...], min_chi: int, as_cap: bool
+) -> list[SurfaceCobordism]:
+    """Cobordisms between the named circles and the empty manifold in which
+    every component touches a circle and has Euler characteristic at least
+    min_chi.
+
+    One circle forces a connected piece; two circles also admit a pair of
+    one-holed components, one per circle, and two epsilon variants of the
+    connected orientable shape.  A piece with b boundary circles has the
+    Euler characteristic of its closed shape minus b.
+    """
+    src = circles if as_cap else ()
+    tgt = () if as_cap else circles
+
+    def comp(orientable, genus, owned, eps=None):
+        ins = owned if as_cap else ()
+        outs = () if as_cap else owned
+        return component(orientable, genus, ins, outs, eps)
+
+    singles = connected_generators(-(min_chi + 1))
+    if len(circles) == 1:
+        return [surface(src, tgt, [comp(o, g, circles)]) for o, g in singles]
+    pieces = []
+    for orientable, genus in connected_generators(-(min_chi + 2)):
+        if not orientable:
+            pieces.append(surface(src, tgt, [comp(False, genus, circles)]))
+            continue
+        for second_sign in (1, -1):
+            eps = {circles[0]: 1, circles[1]: second_sign}
+            pieces.append(surface(src, tgt, [comp(True, genus, circles, eps)]))
+    for first in singles:
+        for second in singles:
+            comps = [comp(*first, circles[:1]), comp(*second, circles[1:])]
+            pieces.append(surface(src, tgt, comps))
+    return pieces
+
+
+def _shape(piece: SurfaceCobordism, circles: tuple[str, ...]) -> tuple[tuple, tuple[int, ...]]:
+    """``(skeleton, chis)``: per component of the piece, ``(orientable,
+    ((circle position, eps sign or 0 if non-orientable), ...))`` and chi."""
+    skeleton = []
+    for comp in piece.components:
+        eps = {c: sign for _, c, sign in comp.eps}
+        owned = comp.in_circles + comp.out_circles
+        skeleton.append((comp.orientable, tuple((circles.index(c), eps.get(c, 0)) for c in owned)))
+    return tuple(skeleton), tuple(comp.chi for comp in piece.components)
+
+
+def closed_in_basis(
+    caps: Sequence, cups: Sequence, close: Callable, index: Mapping
+) -> tuple[list[tuple[int, int]], int]:
+    """``(kept, skipped)``: the ``(cap, cup)`` index pairs, in product
+    order, whose closing stays in the basis, and the count of the others.
+    Every pair is closed to decide."""
+    kept = [
+        (i, k)
+        for i, k in itertools.product(range(len(caps)), range(len(cups)))
+        if _count_row(close(cups[k], caps[i]), index) is not None
+    ]
+    return kept, len(caps) * len(cups) - len(kept)
+
+
+def piece_shape_localization(max_complexity: int) -> SurfaceLocalizationResult:
+    """``surface_localization_group`` by the path it ran before it generated
+    shapes directly: pieces built as cobordisms and read by ``_shape``, and
+    every connected cap closed against every cup, the pairs that leave the
+    basis dropped and counted after closing."""
+    basis = connected_generators(max_complexity)
+    index = {(cls[0], chi_of_class(cls)): i for i, cls in enumerate(basis)}
+    close = _shape_closer()
+    levels = []
+    skipped = 0
+    for n_circles in (1, 2):
+        circles = tuple(f"y{i}" for i in range(n_circles))
+        caps, cups, ref_caps, ref_cups = (
+            [_shape(piece, circles) for piece in _pieces(circles, min_chi, as_cap)]
+            for min_chi in (-max_complexity, 1)
+            for as_cap in (True, False)
+        )
+        connected_caps = [s for s in caps if len(s[0]) == 1]
+        pairs, dropped = closed_in_basis(connected_caps, cups, close, index)
+        skipped += dropped
+        levels.append((connected_caps, cups, pairs, ref_caps[0], ref_cups[0], close))
+    invariants, classes, relator_count = _relator_engine(
+        levels, index, index[True, chi_of_class(S2)]
+    )
+    return SurfaceLocalizationResult(
+        invariants, basis, classes, relator_count, skipped
+    )
+
+
 def composed_surface_engine(bound: int, all_pairs: bool = True) -> tuple:
     """``_relator_engine`` over the same pieces and basis as
     ``surface_localization_group(bound)``, closing each pair with
     ``compose_surface``: ``(invariants, classes, relator count, skipped)``.
+    The pairs whose composite leaves the basis are dropped and counted here,
+    after closing them.
 
     With ``all_pairs`` every two-circle cap meets every two-circle cup;
     without it only connected caps are closed, the pairs the engine
@@ -177,24 +286,22 @@ def composed_surface_engine(bound: int, all_pairs: bool = True) -> tuple:
     basis = connected_generators(bound)
     index = {cls: i for i, cls in enumerate(basis)}
 
-    def level(caps, cups, circles):
-        return (
-            caps,
-            cups,
-            itertools.product(range(len(caps)), range(len(cups))),
-            _pieces(circles, 1, as_cap=True)[0],
-            _pieces(circles, 1, as_cap=False)[0],
-            lambda cup, cap: surface_class(compose_surface(cup, cap)).components,
-        )
+    @functools.cache
+    def close(cup, cap):
+        return surface_class(compose_surface(cup, cap)).components
 
     levels = []
+    skipped = 0
     for circles in (("y0",), ("y0", "y1")):
         caps = _pieces(circles, -bound, as_cap=True)
         cups = _pieces(circles, -bound, as_cap=False)
         if not all_pairs:
             caps = [piece for piece in caps if len(piece.components) == 1]
-        levels.append(level(caps, cups, circles))
-    return _relator_engine(levels, index, index[S2])
+        pairs, dropped = closed_in_basis(caps, cups, close, index)
+        skipped += dropped
+        refs = (_pieces(circles, 1, as_cap=True)[0], _pieces(circles, 1, as_cap=False)[0])
+        levels.append((caps, cups, pairs, *refs, close))
+    return (*_relator_engine(levels, index, index[S2]), skipped)
 
 
 def all_pairs_planar_engine(

@@ -588,13 +588,26 @@ class TestRelations:
         based = ok("relations", "--base", "a", files["parallel"])
         assert based == full
 
-    def test_squares_are_budgeted(self, files, capsys, monkeypatch):
-        monkeypatch.setenv("COBCAT_MAX_CELLS", "80")
+    def test_relator_price_is_the_only_ceiling(self, files, tmp_path, capsys, monkeypatch):
+        # BZ/3 has 4 relators over 2 generators: 8 entries, and 81 squares
+        # that are counted, not built, so 8 is the ceiling that matters.
+        monkeypatch.setenv("COBCAT_MAX_CELLS", "7")
         assert main(["relations", files["cyclic3"]]) == 2
         error = json.loads(capsys.readouterr().out)["error"]
-        assert "81 commuting squares" in error and "ceiling of 80" in error
-        monkeypatch.setenv("COBCAT_MAX_CELLS", "81")
+        assert "would reduce 4 relators over 2 generators, 8 matrix entries" in error
+        assert "ceiling of 7" in error
+        monkeypatch.setenv("COBCAT_MAX_CELLS", "8")
         assert ok("relations", files["cyclic3"])["checked"] == 81
+        # BZ/32 has 32^4 = 1,048,576 squares, over the default ceiling, and
+        # 961 relators over 31 generators, under it.
+        monkeypatch.delenv("COBCAT_MAX_CELLS")
+        path = write(tmp_path, "cyc32.json", to_json(cyclic_group_category(32)))
+        assert main(["relations", path]) == 0
+        assert json.loads(capsys.readouterr().out)["result"] == {
+            "checked": 32**4,
+            "components": 1,
+            "nonvanishing": 0,
+        }
 
     @pytest.mark.parametrize("name", ["s2poset", "parallel", "cyclic3", "cyclic5", "terminal"])
     def test_brute_force_oracle_on_corpus(self, files, name):
@@ -634,11 +647,15 @@ def chain_category(n: int) -> fincat.FinCat:
     return fincat.poset_category([f"c{i}" for i in range(n)], lambda a, b: int(a[1:]) <= int(b[1:]))
 
 
-class TestRelatorPrice:
-    """``relations`` and ``localize aut`` hold the dense relator matrix,
-    rows times generators, to the cell ceiling before reducing it."""
+PRICED = [["relations"], ["localize", "aut", "--base", "c0"], ["cat", "pi1", "--base", "c0"]]
 
-    @pytest.mark.parametrize("argv", [["relations"], ["localize", "aut", "--base", "c0"]])
+
+class TestRelatorPrice:
+    """``relations``, ``localize aut`` and ``cat pi1`` hold the dense
+    relator matrix, rows times generators, to the cell ceiling before
+    reducing it."""
+
+    @pytest.mark.parametrize("argv", PRICED)
     def test_long_chain_is_refused_at_once(self, tmp_path, capsys, monkeypatch, argv):
         # 29 tree edges and C(30, 3) composable pairs over C(30, 2) generators.
         monkeypatch.delenv("COBCAT_MAX_CELLS", raising=False)
@@ -650,7 +667,7 @@ class TestRelatorPrice:
         assert "4089 relators over 435 generators, 1778715 matrix entries" in error
         assert "ceiling of 1000000" in error and "COBCAT_MAX_CELLS" in error
 
-    @pytest.mark.parametrize("argv", [["relations"], ["localize", "aut", "--base", "c0"]])
+    @pytest.mark.parametrize("argv", PRICED)
     def test_price_is_exact(self, tmp_path, monkeypatch, argv):
         # 4 tree edges and C(5, 3) pairs over C(5, 2) generators: 140 entries.
         path = write(tmp_path, "chain5.json", to_json(chain_category(5)))

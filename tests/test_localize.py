@@ -17,16 +17,17 @@ from cobcat.localize import (
     surface_localization_group,
     word_class,
     _count_row,
-    _pieces,
     _planar_level,
-    _shape,
     _shape_closer,
+    _shapes,
 )
 from cobcat.nerve import fundamental_group
 from cob1_helpers import to_matching
 from fincat_helpers import Functor, cyclic_group_category
 from localize_oracles import (
     RelationInstance,
+    _pieces,
+    _shape,
     all_pairs_planar_engine,
     brute_force_relations,
     closed_diagram_forest,
@@ -34,6 +35,7 @@ from localize_oracles import (
     composed_row,
     composed_surface_engine,
     induced_automorphism_map,
+    piece_shape_localization,
     ray_parity_forest,
     square_word,
     surface_relator_vector,
@@ -319,6 +321,13 @@ class TestSurfaceLocalizationGroup:
         assert res.relator_count == relator_count
         assert res.skipped_instances == skipped
 
+    @pytest.mark.parametrize("bound", range(15))
+    def test_matches_built_pieces(self, bound):
+        # Pieces built as cobordisms, read as shapes, and every connected
+        # cap closed against every cup, out-of-basis pairs dropped after
+        # closing: the same invariants, basis, classes, row and skip counts.
+        assert surface_localization_group(bound) == piece_shape_localization(bound)
+
     @pytest.mark.parametrize("bound", range(7))
     def test_split_pairs_are_sums_of_one_circle_rows(self, bound):
         # A disconnected cup (A, B) closes against a disconnected cap (D, E)
@@ -460,6 +469,17 @@ class TestShapeClosing:
         # Orientable two-holed pieces with opposite eps glue to a Klein
         # bottle or worse: an odd cycle of parity constraints.
         assert odd_cycles > 0
+
+    def test_shapes_are_those_of_the_built_pieces(self):
+        # One list, in the order _pieces builds them, on either side.
+        for n_circles in (1, 2):
+            circles = tuple(f"y{i}" for i in range(n_circles))
+            for min_chi in range(-12, 2):
+                shapes = _shapes(n_circles, min_chi)
+                assert shapes
+                for as_cap in (True, False):
+                    pieces = _pieces(circles, min_chi, as_cap)
+                    assert shapes == [_shape(piece, circles) for piece in pieces]
 
     def test_shape_of_a_two_circle_piece(self):
         twisted = surface(
