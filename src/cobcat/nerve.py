@@ -2,16 +2,17 @@
 
 Cells in degree p are composable p-tuples of non-identity morphisms
 (the normalized chain complex: faces that compose to an identity are
-dropped).  Each boundary is assembled as sparse columns, one
-``{row: coefficient}`` map of non-zeros per cell, and d∘d = 0 is checked
-column by column at a cost proportional to the non-zeros.  Homology comes
-from the Morse complex of Brown's collapsing scheme (K. S. Brown, "The
-geometry of rewriting systems", 1992; E. Sköldberg, "Morse theory from an
-algebraic viewpoint", 2006): shortlex normal forms of the morphisms match
-most cells in pairs, the boundaries of the critical cells are projected
-along the gradient paths, and only they go through the exact Smith
-invariant factors (:func:`~cobcat.exactmath.smith_diagonal`).  For BZ/n
-one cell per degree below the cap is critical.
+dropped).  :func:`build_nerve` counts the cells of each degree against the
+cell ceiling and enumerates none.  Homology comes from the Morse complex of
+Brown's collapsing scheme (K. S. Brown, "The geometry of rewriting
+systems", 1992; E. Sköldberg, "Morse theory from an algebraic viewpoint",
+2006): shortlex normal forms of the morphisms match most cells in pairs,
+and the critical ones, the Anick chains (D. Anick, Trans. AMS 1986), are
+listed straight from the category.  Their boundaries are projected along
+the gradient paths one face at a time, and only they go through the exact
+Smith invariant factors (:func:`~cobcat.exactmath.smith_diagonal`).  For
+BZ/n one chain per degree is critical.  The cell lists and sparse boundary
+columns of the whole nerve are built only on request, with a d∘d = 0 check.
 
 Degrees above ``cap - 1`` are not reported: computing H_p honestly needs the
 boundary out of degree p + 1, so a nerve built with ``cap = n`` yields
@@ -21,40 +22,60 @@ homology in degrees 0..n-1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .exactmath import (
-    AbelianInvariants,
-    GroupPresentation,
-    IntMatrix,
-    UnionFind,
-    smith_diagonal,
-)
+from .exactmath import AbelianInvariants, GroupPresentation, IntMatrix, UnionFind, smith_diagonal
 from .fincat import FinCat
 from .limits import MAX_CELLS_ENV, ResourceLimitExceeded, check_count, max_cells_default
 
 DEFAULT_CAP = 3
 
-SparseColumns = tuple[dict[int, int], ...]
-
 
 @dataclass(frozen=True)
 class NerveComplex:
-    """Cells and sparse integer boundaries of a truncated nerve.
+    """The nerve of ``category`` truncated at degree ``cap``, priced:
+    ``counts[p]`` is the number of p-cells, and no cell is enumerated until
+    ``cells``, ``columns`` or ``boundaries`` is read.
 
     ``cells[0]`` lists object indices; ``cells[p]`` for p >= 1 lists tuples
     of morphism indices forming composable chains of non-identities.
     ``columns[p][j]`` maps the indices of the degree-(p-1) faces of cell
     ``cells[p][j]`` to their non-zero coefficients in its boundary; the
-    composite of consecutive boundaries is checked to be zero at build time.
+    composite of consecutive boundaries is checked to be zero as they are
+    built.
     """
 
     category: FinCat
     cap: int
-    cells: tuple[tuple, ...]
-    columns: tuple[SparseColumns, ...]
+    counts: tuple[int, ...]
 
     def cell_counts(self) -> list[int]:
-        return [len(layer) for layer in self.cells]
+        return list(self.counts)
+
+    @cached_property
+    def cells(self) -> tuple[tuple, ...]:
+        c = self.category
+        cells = [tuple(range(len(c.objects)))]
+        cells.append(tuple((f,) for f in range(len(c.morphisms)) if not c.is_identity(f)))
+        by_source = [[f for (f,) in cells[1] if c.src[f] == x] for x in cells[0]]
+        for p in range(2, self.cap + 1):
+            cells.append(tuple(
+                chain + (g,) for chain in cells[p - 1] for g in by_source[c.tgt[chain[-1]]]
+            ))
+        return tuple(cells)
+
+    @cached_property
+    def columns(self) -> tuple[tuple[dict[int, int], ...], ...]:
+        cells = self.cells
+        columns = [tuple({} for _ in cells[0])]
+        for p in range(1, self.cap + 1):
+            index = {cell: i for i, cell in enumerate(cells[p - 1])}
+            columns.append(tuple(
+                {index[face]: v for face, v in _faces(self.category, chain).items()}
+                for chain in cells[p]
+            ))
+        _assert_chain_complex(columns)
+        return tuple(columns)
 
     @property
     def boundaries(self) -> tuple[IntMatrix, ...]:
@@ -72,24 +93,15 @@ class NerveComplex:
         return tuple(out)
 
 
-def _refuse(ceiling: int, count: int, p: int) -> ResourceLimitExceeded:
-    return ResourceLimitExceeded(
-        f"nerve would reach {count} cells at degree {p}, over the cell "
-        f"ceiling of {ceiling} (--max-cells / {MAX_CELLS_ENV})"
-    )
-
-
-def build_nerve(
-    c: FinCat, cap: int = DEFAULT_CAP, max_cells: int | None = None
-) -> NerveComplex:
-    """Enumerate nerve cells up to degree ``cap`` and assemble boundaries.
+def build_nerve(c: FinCat, cap: int = DEFAULT_CAP, max_cells: int | None = None) -> NerveComplex:
+    """Price the nerve up to degree ``cap``: count its cells in each degree,
+    by paths over the non-identities, and enumerate none of them.
 
     Raises :class:`ResourceLimitExceeded` if the total number of cells would
     pass ``max_cells`` (default from COBCAT_MAX_CELLS or 10**6).  Each of the
     ``cap + 1`` degrees counts as at least one cell, even an empty one, so a
-    huge cap is refused before any layer is built; every layer's size is
-    counted, by paths over the non-identities, before the first is built,
-    so a refusal builds nothing.
+    huge cap is refused at once.  Every cell :func:`homology` projects is a
+    nerve cell, so the count bounds its work too.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
@@ -99,70 +111,50 @@ def build_nerve(
             f"--cap {cap} asks for {cap + 1} degrees, over the cell ceiling of "
             f"{ceiling} (--max-cells / {MAX_CELLS_ENV})"
         )
-    non_identities = [
-        f for f in range(len(c.morphisms)) if not c.is_identity(f)
-    ]
+    non_identities = [f for f in range(len(c.morphisms)) if not c.is_identity(f)]
     # Chains of degree p ending at each object, v_p[y] = sum of v_{p-1}[x]
-    # over the non-identities x -> y, are counted for every degree before
-    # any layer is built; above an empty degree every degree is empty.
+    # over the non-identities x -> y; above an empty degree all are empty.
     ends = [1] * len(c.objects)
-    total = len(ends)
+    counts, total = [len(ends)], len(ends)
     for p in range(cap + 1):
         if p:
-            counts = [0] * len(ends)
+            ends, last = [0] * len(ends), ends
             for f in non_identities:
-                counts[c.tgt[f]] += ends[c.src[f]]
-            ends = counts
-            total += sum(ends)
+                ends[c.tgt[f]] += last[c.src[f]]
+            counts.append(sum(ends))
+            total += counts[-1]
         if total > ceiling:
-            raise _refuse(ceiling, total, p)
+            raise ResourceLimitExceeded(
+                f"nerve would reach {total} cells at degree {p}, over the cell "
+                f"ceiling of {ceiling} (--max-cells / {MAX_CELLS_ENV})"
+            )
         if not any(ends):
             break
-    cells: list[tuple] = [tuple(range(len(c.objects)))]
-    by_source: list[list[int]] = [[] for _ in c.objects]
-    for f in non_identities:
-        by_source[c.src[f]].append(f)
-    cells.append(tuple((f,) for f in non_identities))
-    for p in range(2, cap + 1):
-        cells.append(tuple(
-            chain + (g,) for chain in cells[p - 1] for g in by_source[c.tgt[chain[-1]]]
-        ))
-
-    columns = [tuple({} for _ in cells[0])]
-    for p in range(1, cap + 1):
-        columns.append(_boundary_matrix(c, cells[p - 1], cells[p], p))
-    nerve = NerveComplex(c, cap, tuple(cells), tuple(columns))
-    _assert_chain_complex(nerve)
-    return nerve
+    return NerveComplex(c, cap, tuple(counts) + (0,) * (cap + 1 - len(counts)))
 
 
-def _boundary_matrix(c: FinCat, lower: tuple, upper: tuple, p: int) -> SparseColumns:
-    """Alternating face sums as sparse columns, one per cell of ``upper``;
-    degenerate faces vanish in the normalized complex."""
-    index = {cell: i for i, cell in enumerate(lower)}
-    columns = []
-    for chain in upper:
-        if p == 1:
-            faces = [(index[c.tgt[chain[0]]], 1), (index[c.src[chain[0]]], -1)]
-        else:
-            faces = [(index[chain[1:]], 1), (index[chain[:-1]], (-1) ** p)]
-            for i in range(1, p):
-                composite = c.compose(chain[i - 1], chain[i])
-                if not c.is_identity(composite):
-                    face = chain[: i - 1] + (composite,) + chain[i + 1 :]
-                    faces.append((index[face], (-1) ** i))
-        col: dict[int, int] = {}
-        for row, sign in faces:
-            col[row] = col.get(row, 0) + sign
-        columns.append({row: v for row, v in col.items() if v})
-    return tuple(columns)
+def _faces(c: FinCat, chain: tuple[int, ...]) -> dict:
+    """The non-degenerate faces of a chain with their non-zero coefficients
+    in its alternating face sum; the faces of a 1-chain are objects."""
+    p = len(chain)
+    if p == 1:
+        x, y = c.src[chain[0]], c.tgt[chain[0]]
+        return {y: 1, x: -1} if x != y else {}
+    faces = {chain[1:]: 1}
+    faces[chain[:-1]] = faces.get(chain[:-1], 0) + (-1) ** p
+    for i in range(1, p):
+        composite = c.table[chain[i - 1], chain[i]]
+        if not c.is_identity(composite):
+            face = chain[: i - 1] + (composite,) + chain[i + 1 :]
+            faces[face] = faces.get(face, 0) + (-1) ** i
+    return {face: v for face, v in faces.items() if v}
 
 
-def _assert_chain_complex(n: NerveComplex) -> None:
+def _assert_chain_complex(columns) -> None:
     """d_{p-1} ∘ d_p = 0, one column of d_p at a time."""
-    for p in range(2, len(n.columns)):
-        lower = n.columns[p - 1]
-        for col in n.columns[p]:
+    for p in range(2, len(columns)):
+        lower = columns[p - 1]
+        for col in columns[p]:
             image: dict[int, int] = {}
             for k, a in col.items():
                 for i, b in lower[k].items():
@@ -212,116 +204,152 @@ def _normal_forms(c: FinCat) -> dict[int, tuple[int, ...]]:
     return search({s: (s,) for s in gens}, list(gens))
 
 
-def _brown_matching(n: NerveComplex) -> list[dict[int, int]]:
-    """Brown's collapsing scheme on the nerve: ``match[p]`` sends each
-    redundant p-cell to the index of its (p+1)-cell partner.
+def _collapsing_scheme(c: FinCat, cap: int):
+    """Brown's collapsing scheme on the nerve, on chain tuples: the critical
+    chains of degrees 0..cap, up to the first empty degree, and
+    ``classify``, which sends a chain of degree 1 or more to ``(0, None)``
+    if it is critical, ``(1, partner)`` if it is redundant and
+    ``(-1, face)`` if it is collapsible onto a redundant face.
 
     With NF from :func:`_normal_forms`, a chain [x1|…|xp] is redundant if
     NF(x1) has two letters or more; its partner splits off the first
     letter.  Otherwise the chain is followed while each NF(xj) is the
     shortest prefix u of itself with NF(x(j-1))·u reducible (an Anick
-    chain).  At the first xj where it is not, the chain is collapsible if
-    NF(x(j-1))·NF(xj) is a normal form, and redundant if u is a proper
-    prefix: its partner splits xj = u·v.  The rest are critical, and so
-    is a redundant chain of the cap degree, whose partner is not built.
+    pair).  At the first xj where it is not, the chain is collapsible onto
+    the face composing x(j-1) and xj if NF(x(j-1))·NF(xj) is a normal form,
+    and redundant if u is a proper prefix: its partner splits xj = u·v.
+    The critical chains, a generator followed by Anick pairs, are listed
+    from a successor table of the Anick pairs.
     """
-    nf = _normal_forms(n.category)
+    table, tgt = c.table, c.tgt
+    nf = _normal_forms(c)
     value = {w: x for x, w in nf.items()}
+    splits: dict[tuple[int, int], tuple[int, ...] | None] = {}
 
-    def split(x: int, y: int) -> tuple[int, ...] | None:
+    def split(pair: tuple[int, int]) -> tuple[int, ...] | None:
         # () for an Anick pair, None for a collapsible one, else (u, v).
-        wx, wy = nf[x], nf[y]
-        z = x
+        wx, wy = nf[pair[0]], nf[pair[1]]
+        z, uv = pair[0], None
         for k, s in enumerate(wy):
-            z = n.category.table[z, s]
+            z = table[z, s]
             if nf.get(z) != wx + wy[: k + 1]:
-                return () if k + 1 == len(wy) else (value[wy[: k + 1]], value[wy[k + 1 :]])
-        return None
+                uv = () if k + 1 == len(wy) else (value[wy[: k + 1]], value[wy[k + 1 :]])
+                break
+        splits[pair] = uv
+        return uv
 
-    splits = {pair: split(*pair) for pair in n.cells[2]} if n.cap > 2 else {}
-    match: list[dict[int, int]] = [{}]
-    for p in range(1, n.cap):
-        index = {cell: j for j, cell in enumerate(n.cells[p + 1])}
-        up = {}
-        for i, cell in enumerate(n.cells[p]):
-            word = nf[cell[0]]
-            if len(word) > 1:
-                up[i] = index[(word[0], value[word[1:]]) + cell[1:]]
-                continue
-            for j in range(1, p):
-                uv = splits[cell[j - 1], cell[j]]
-                if uv != ():
-                    if uv is not None:
-                        up[i] = index[cell[:j] + uv + cell[j + 1 :]]
-                    break
-        match.append(up)
-    return match
+    by_source: list[list[int]] = [[] for _ in c.objects]
+    for y in sorted(nf):
+        by_source[c.src[y]].append(y)
+    chains = [tuple(range(len(c.objects))), tuple((x,) for x in sorted(nf) if len(nf[x]) == 1)]
+    successors: dict[int, list[int]] = {}
+    while len(chains) <= cap and chains[-1]:
+        layer = []
+        for chain in chains[-1]:
+            x = chain[-1]
+            if x not in successors:
+                successors[x] = [y for y in by_source[tgt[x]] if split((x, y)) == ()]
+            layer.extend(chain + (y,) for y in successors[x])
+        chains.append(tuple(layer))
+
+    def classify(chain: tuple[int, ...]) -> tuple[int, tuple[int, ...] | None]:
+        word = nf[chain[0]]
+        if len(word) > 1:
+            return 1, (word[0], value[word[1:]]) + chain[1:]
+        for j in range(1, len(chain)):
+            pair = chain[j - 1], chain[j]
+            uv = splits[pair] if pair in splits else split(pair)
+            if uv is None:
+                return -1, chain[: j - 1] + (table[pair],) + chain[j + 1 :]
+            if uv:
+                return 1, chain[:j] + uv + chain[j + 1 :]
+        return 0, None
+
+    return [layer for layer in chains if layer], classify
 
 
 def homology(n: NerveComplex) -> list[AbelianInvariants]:
     """H_0 .. H_{cap-1} as canonical abelian invariants, from the critical
-    cells of :func:`_brown_matching` (algebraic discrete Morse theory).
+    chains of :func:`_collapsing_scheme` (algebraic discrete Morse theory),
+    without enumerating the nerve.
 
-    Every (p-1)-cell is projected once onto the critical ones: a critical
-    cell to itself, a collapsible one to 0, and a redundant cell r with
-    partner q to -ε⁻¹ times the projections of the other faces of q, where
-    ε is r's coefficient in dq.  The Smith invariant factors of the
-    projected boundaries of the critical p-cells give the homology.  An ε
-    other than ±1, a cell matched twice or a cycle of the gradient flow
-    raises ``AssertionError``.
+    Each face of a critical p-chain is projected onto the critical
+    (p-1)-chains once: a critical chain to itself, a collapsible one to 0,
+    and a redundant chain r with partner q to -ε⁻¹ times the projections of
+    the other faces of q, where ε is r's coefficient in dq.  The Smith
+    invariant factors of these Morse boundaries give the homology, and the
+    first degree without a critical chain ends the work.  A partner that
+    does not collapse back onto r (a cell matched twice), an ε other than
+    ±1, a cycle of the gradient flow or a Morse boundary whose square is
+    not zero raises ``AssertionError``.
+
+    >>> from cobcat.fincat import build_category
+    >>> r = ["r0", "r1", "r2"]
+    >>> bz3 = build_category(
+    ...     ["*"], [(f, "*", "*") for f in r], {"*": "r0"},
+    ...     [(r[i], r[j], r[(i + j) % 3]) for i in range(3) for j in range(3)])
+    >>> [h.describe() for h in homology(build_nerve(bz3, cap=3))]
+    ['Z', 'Z/3', '0']
     """
-    match = _brown_matching(n) + [{}]
-    critical = []
-    for p, cells in enumerate(n.cells):
-        up, below = match[p], set(match[p - 1].values())
-        if len(below) < len(match[p - 1]) or not below.isdisjoint(up):
-            raise AssertionError(f"a {p}-cell is matched twice")
-        critical.append([i for i in range(len(cells)) if i not in up and i not in below])
-    diags = [[]]
-    for p in range(1, n.cap + 1):
-        if not n.cells[p]:  # no cells here, so none in any degree above
-            diags += [[]] * (n.cap + 1 - p)
-            break
-        columns, up, rows = n.columns[p], match[p - 1], len(critical[p - 1])
-        if rows == len(n.cells[p - 1]):  # nothing matched in degree p-1
-            diags.append(smith_diagonal([columns[j] for j in critical[p]], rows))
-            continue
-        proj = {i: {k: 1} for k, i in enumerate(critical[p - 1])}
-
-        def image(col: dict[int, int], skip: int, scale: int) -> dict[int, int]:
-            out: dict[int, int] = {}
-            for g, a in col.items():
-                pg = proj.get(g)
-                if pg and g != skip:
-                    a *= scale
-                    for k, b in pg.items():
-                        out[k] = out.get(k, 0) + a * b
-            return {k: v for k, v in out.items() if v}
-
-        for start in up:
-            stack = [] if start in proj else [start]
+    c = n.category
+    chains, classify = _collapsing_scheme(c, n.cap)
+    morse: list[list[dict[int, int]]] = [[]]
+    diags: list[list[int]] = [[]]
+    for p in range(1, len(chains)):
+        index = {cell: k for k, cell in enumerate(chains[p - 1])}
+        proj = {x: {x: 1} for x in chains[0]} if p == 1 else {}  # an object is its own index
+        stacked: dict[tuple, tuple[int, dict]] = {}  # r -> (ε, the faces of its partner)
+        morse.append([])
+        for chain in chains[p]:
+            col = _faces(c, chain)
+            stack = [g for g in col if g not in proj]
             while stack:
                 r = stack[-1]
-                col = columns[up[r]]
-                for g in col:
-                    if g in up and g not in proj and g != r:
-                        if g in stack:
+                if r in proj:
+                    stack.pop()
+                    continue
+                if r not in stacked:
+                    kind, q = classify(r)
+                    if kind == 0 and r not in index:
+                        raise AssertionError(f"{r} is critical but not an Anick chain")
+                    if kind <= 0:
+                        proj[r] = {index[r]: 1} if kind == 0 else {}
+                        continue
+                    if classify(q) != (-1, r):
+                        raise AssertionError(f"a {p - 1}-cell is matched twice")
+                    faces = _faces(c, q)
+                    if faces.get(r) not in (1, -1):
+                        raise AssertionError(f"matched incidence {faces.get(r)} in degree {p}")
+                    stacked[r] = faces[r], faces
+                eps, faces = stacked[r]
+                for g in faces:
+                    if g not in proj and g != r:
+                        if g in stacked:
                             raise AssertionError(f"gradient flow cycle in degree {p - 1}")
                         stack.append(g)
                         break
                 else:
-                    eps = col.get(r)
-                    if eps not in (1, -1):
-                        raise AssertionError(f"matched incidence {eps} in degree {p}")
-                    proj[r] = image(col, r, -eps)
-                    stack.pop()
-        morse = [image(columns[j], -1, 1) for j in critical[p]]
-        diags.append(smith_diagonal(morse, rows))
+                    proj[r] = _combine(proj, faces, r, -eps)
+                    del stacked[r]
+            morse[p].append(col if p == 1 else _combine(proj, col, None, 1))
+        diags.append(smith_diagonal(morse[p], len(index)))
+    _assert_chain_complex(morse)
+    diags.append([])
     out = []
-    for p in range(n.cap):
-        free = len(critical[p]) - len(diags[p]) - len(diags[p + 1])
+    for p in range(min(n.cap, len(chains))):
+        free = len(chains[p]) - len(diags[p]) - len(diags[p + 1])
         out.append(AbelianInvariants(free, tuple(d for d in diags[p + 1] if d > 1)))
-    return out
+    return out + [AbelianInvariants(0, ())] * (n.cap - len(out))
+
+
+def _combine(proj: dict, col: dict, skip, scale: int) -> dict[int, int]:
+    """``scale`` times the projection of the faces in ``col`` but ``skip``."""
+    out: dict[int, int] = {}
+    for g, a in col.items():
+        if g != skip:
+            for k, b in proj[g].items():
+                out[k] = out.get(k, 0) + scale * a * b
+    return {k: v for k, v in out.items() if v}
 
 
 def _components(c: FinCat) -> list[list[int]]:

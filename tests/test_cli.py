@@ -201,45 +201,71 @@ class TestCat:
         error = json.loads(capsys.readouterr().out)["error"]
         assert f"{2**20 - 1} cells at degree 19" in error and "ceiling of 1000000" in error
 
+    def test_cap_far_above_the_last_cell(self, files, capsys, monkeypatch):
+        # The one-object category has no cell above degree 0; each of the
+        # 99,999 empty degrees reported costs a constant, serialization too.
+        monkeypatch.delenv("COBCAT_MAX_CELLS", raising=False)
+        argv = ["cat", "homology", "--cap", "100000", files["terminal"]]
+        start = time.perf_counter()
+        assert main(argv) == 0
+        assert time.perf_counter() - start < 0.4
+        groups = ['{"rank": 1, "torsion": []}'] + ['{"rank": 0, "torsion": []}'] * 99999
+        result = '{"H": [' + ", ".join(groups) + "]}"
+        assert capsys.readouterr().out == f'{{"command": {json.dumps(argv)}, "result": {result}}}\n'
+
     def test_failed_self_check_is_internal_error(self, files, monkeypatch):
-        real = nerve._boundary_matrix
+        real = nerve._faces
 
-        def broken(c, lower, upper, p):
-            # Every entry of d_1 set to 1, so d_1 . d_2 != 0.
-            columns = real(c, lower, upper, p)
-            if p != 1:
-                return columns
-            return tuple({i: 1 for i in range(len(lower))} for _ in columns)
+        def broken(c, chain):
+            # Every 1-chain's boundary set to one object, so the Morse
+            # boundaries d_1 . d_2 != 0.
+            return {0: 1} if len(chain) == 1 else real(c, chain)
 
-        monkeypatch.setattr(nerve, "_boundary_matrix", broken)
+        monkeypatch.setattr(nerve, "_faces", broken)
         report = dispatch(("cat", "homology", "--cap", "3", files["cyclic3"]))
         assert report.exit_code == 3
-        assert report.error.startswith("internal error: AssertionError")
+        assert report.error.startswith("internal error: AssertionError: boundary squared nonzero")
 
-    @pytest.mark.parametrize("flaw", ["non-unit pair", "two-cycle"])
-    def test_broken_matching_is_internal_error(self, files, monkeypatch, capsys, flaw):
-        real = nerve._brown_matching
+    @pytest.mark.parametrize(
+        "flaw, check",
+        [
+            ("partner not collapsible", "matched twice"),
+            ("non-unit pair", "matched incidence 2"),
+            ("two-cycle", "gradient flow cycle"),
+            ("critical non-Anick chain", "not an Anick chain"),
+        ],
+        ids=["partner not collapsible", "non-unit pair", "two-cycle", "critical non-Anick chain"],
+    )
+    def test_broken_matching_is_internal_error(self, files, monkeypatch, capsys, flaw, check):
+        real = nerve._collapsing_scheme
 
-        def broken(n):
-            # In BZ/3, d[r1|r1] = 2[r1] - [r2], and d[r1|r2] = [r2] + [r1]
-            # because r1 r2 is the identity, and likewise d[r2|r1].  Only
-            # the degree-1 pairs set here are matched.
-            match = real(n)
-            r1, r2 = (n.category.morphism_index(f"r{k}") for k in (1, 2))
-            one = {cell: i for i, cell in enumerate(n.cells[1])}
-            two = {cell: j for j, cell in enumerate(n.cells[2])}
-            if flaw == "non-unit pair":
-                match[1] = {one[(r1,)]: two[(r1, r1)]}
-            else:
-                match[1] = {one[(r1,)]: two[(r1, r2)], one[(r2,)]: two[(r2, r1)]}
-            match[2] = {}
-            return match
+        def broken(c, cap):
+            # In BZ/3, d[r2|r2] = 2[r2] - [r1], and d[r1|r2] = [r2] + [r1]
+            # because r1 r2 is the identity, and likewise d[r2|r1].  Each
+            # flaw reclassifies a few chains, and the faces of the critical
+            # [r1|r2] are projected through them.  Unchecked, the first flaw
+            # would answer H_1 = Z, not Z/3.
+            chains, classify = real(c, cap)
+            r1, r2 = (c.morphism_index(f"r{k}") for k in (1, 2))
+            kinds = {
+                "partner not collapsible": {(r2,): (1, (r1, r2))},
+                "non-unit pair": {(r2,): (1, (r2, r2)), (r2, r2): (-1, (r2,))},
+                "two-cycle": {
+                    (r1,): (1, (r1, r2)),
+                    (r1, r2): (-1, (r1,)),
+                    (r2,): (1, (r2, r1)),
+                    (r2, r1): (-1, (r2,)),
+                },
+                "critical non-Anick chain": {(r2,): (0, None)},
+            }[flaw]
+            return chains, lambda chain: kinds.get(chain) or classify(chain)
 
-        monkeypatch.setattr(nerve, "_brown_matching", broken)
+        monkeypatch.setattr(nerve, "_collapsing_scheme", broken)
         assert main(["cat", "homology", "--cap", "3", files["cyclic3"]]) == 3
         payload = json.loads(capsys.readouterr().out)
         assert "result" not in payload
-        assert payload["error"].startswith("internal error: AssertionError")
+        assert payload["error"].startswith("internal error: AssertionError: ")
+        assert check in payload["error"]
 
     @pytest.mark.parametrize(
         "stem, result",

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import random
 import time
@@ -8,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cobcat import nerve as nerve_module
-from cobcat.exactmath import AbelianInvariants, abelianize, smith_normal_form
+from cobcat.exactmath import AbelianInvariants, IntMatrix, abelianize, smith_normal_form
 from cobcat.fincat import (
     from_json,
     interval_category,
@@ -21,7 +20,7 @@ from cobcat.limits import ResourceLimitExceeded
 from cobcat.nerve import build_nerve, fundamental_group, homology, pi0
 from exactmath_helpers import simplify_presentation
 from fincat_helpers import cyclic_group_category, disjoint_union, product, to_json
-from nerve_helpers import check_matching, oracle_homology
+from nerve_helpers import brown_matching, check_matching, oracle_homology, projected_homology
 
 Z = AbelianInvariants(1, ())
 ZERO = AbelianInvariants(0, ())
@@ -81,7 +80,7 @@ class TestCells:
 
     def test_cap_counts_against_the_ceiling(self):
         # The one-object category has no cell above degree 0, yet each of
-        # the cap + 1 degrees is built and reported, so each counts.
+        # the cap + 1 degrees is reported, so each counts.
         assert build_nerve(terminal_category(), 9, max_cells=10).cell_counts() == [1] + [0] * 9
         with pytest.raises(ResourceLimitExceeded) as info:
             build_nerve(terminal_category(), 10, max_cells=10)
@@ -144,6 +143,27 @@ class TestHomology:
             AbelianInvariants(0, (10,)),
         ]
 
+    def test_bz30_cap4(self):
+        # 732,541 nerve cells, 5 of them critical; the path that enumerated
+        # the cells took 9.5 s as a fresh process.
+        start = time.perf_counter()
+        groups = homology(build_nerve(cyclic_group_category(30), cap=4))
+        assert time.perf_counter() - start < 1
+        assert groups == [Z, AbelianInvariants(0, (30,)), ZERO, AbelianInvariants(0, (30,))]
+
+    def test_bz6_squared_kunneth(self):
+        # Künneth: H_1 is the sum of the factors' H_1, and H_2 is
+        # H_1(BZ/6) ⊗ H_1(BZ/6) = Z/6, as H_2(BZ/6) = 0.
+        cat = product(cyclic_group_category(6), cyclic_group_category(6))
+        assert homology(build_nerve(cat, cap=3)) == [
+            Z,
+            AbelianInvariants(0, (6, 6)),
+            AbelianInvariants(0, (6,)),
+        ]
+        # The path count, not the critical count, prices the nerve.
+        with pytest.raises(ResourceLimitExceeded, match="1544761 cells at degree 4"):
+            build_nerve(cat, cap=4, max_cells=10**6)
+
     def test_bz16_cap4(self):
         # 69,905 cells: eliminating pivots across every full boundary took
         # about 11 s on this input.
@@ -200,7 +220,8 @@ class TestSparseAgainstDense:
             nerve = build_nerve(cat, cap=cap)
             expected = dense_homology(nerve)
             assert oracle_homology(nerve) == expected, cat.objects
-            assert homology(nerve) == expected, cat.objects
+            assert projected_homology(nerve) == expected, cat.objects
+            assert homology(build_nerve(cat, cap=cap)) == expected, cat.objects
 
     def test_dense_boundaries_match_columns(self):
         nerve = build_nerve(cyclic_group_category(3), cap=3)
@@ -209,6 +230,11 @@ class TestSparseAgainstDense:
             assert matrix.shape == (len(nerve.cells[p - 1]) if p else 0, len(nerve.cells[p]))
             for j, col in enumerate(nerve.columns[p]):
                 assert {i: rows[i][j] for i in range(matrix.rows) if rows[i][j]} == col
+
+
+def dense(rows, columns):
+    """The matrix with the given sparse columns."""
+    return IntMatrix(rows, len(columns), [col.get(i, 0) for i in range(rows) for col in columns])
 
 
 def cell_index(nerve, p, cell):
@@ -236,31 +262,44 @@ def small_categories(draw):
     return disjoint_union(atom(), atom())
 
 
+def anick_counts(cat, cap):
+    """The critical chains that homology lists, per degree 0..cap."""
+    chains = nerve_module._collapsing_scheme(cat, cap)[0]
+    return [len(layer) for layer in chains] + [0] * (cap + 1 - len(chains))
+
+
 class TestBrownMatching:
     @settings(max_examples=150, deadline=None)
     @given(small_categories(), st.integers(1, 4))
     def test_matching_is_acyclic_with_unit_pairs_and_keeps_homology(self, cat, cap):
-        # The cap is lowered until the nerve has at most 2,000 cells.
+        # The cap is lowered until the nerve has at most 2,000 cells.  Below
+        # the cap, the chains homology lists are the matching's critical
+        # cells; at the cap a redundant cell's partner is not built.
         while True:
             try:
                 nerve = build_nerve(cat, cap, max_cells=2000)
                 break
             except ResourceLimitExceeded:
                 cap -= 1
-        check_matching(nerve, nerve_module._brown_matching(nerve))
-        assert homology(nerve) == oracle_homology(nerve)
+        critical = check_matching(nerve, brown_matching(nerve))
+        assert anick_counts(cat, cap)[:cap] == critical[:cap]
+        expected = oracle_homology(nerve)
+        assert homology(build_nerve(cat, cap)) == expected
+        assert projected_homology(nerve) == expected
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 9])
     def test_cyclic_group_leaves_one_critical_cell_per_degree(self, n):
         cap = 4
         nerve = build_nerve(cyclic_group_category(n), cap)
-        critical = check_matching(nerve, nerve_module._brown_matching(nerve))
+        critical = check_matching(nerve, brown_matching(nerve))
         assert critical[:cap] == [1] * cap
+        assert anick_counts(nerve.category, cap)[:cap] == [1] * cap
 
     def test_sphere_poset_critical_cells(self):
         nerve = build_nerve(subset_poset_category(5), 4)
-        critical = check_matching(nerve, nerve_module._brown_matching(nerve))
+        critical = check_matching(nerve, brown_matching(nerve))
         assert critical == [30, 70, 60, 20, 0]
+        assert anick_counts(nerve.category, 4) == [30, 70, 60, 20, 0]
 
     def test_partners_in_bz3(self):
         # r2 = r1 r1 has the normal form r1.r1, so [r2|...] splits off its
@@ -268,13 +307,21 @@ class TestBrownMatching:
         # Anick chain (r1.r1.r1 is an identity), so it is critical.
         nerve = build_nerve(cyclic_group_category(3), 3)
         r1, r2 = (nerve.category.morphism_index(f"r{k}") for k in (1, 2))
-        match = nerve_module._brown_matching(nerve)
+        match = brown_matching(nerve)
         assert match[1] == {cell_index(nerve, 1, (r2,)): cell_index(nerve, 2, (r1, r1))}
         assert match[2] == {
             cell_index(nerve, 2, (r2, x)): cell_index(nerve, 3, (r1, r1, x))
             for x in (r1, r2)
         }
         assert check_matching(nerve, match) == [1, 1, 1, 8 - 2]
+        # The same pairs, classified on chain tuples.
+        chains, classify = nerve_module._collapsing_scheme(nerve.category, 3)
+        assert chains[1:] == [((r1,),), ((r1, r2),), ((r1, r2, r1),)]
+        assert classify((r2,)) == (1, (r1, r1)) and classify((r1, r1)) == (-1, (r2,))
+        for x in (r1, r2):
+            assert classify((r2, x)) == (1, (r1, r1, x))
+            assert classify((r1, r1, x)) == (-1, (r2, x))
+        assert classify((r1, r2)) == (0, None)
 
 
 class TestPi0:
@@ -343,8 +390,8 @@ class TestFundamentalGroup:
 
 class TestSpanClosure:
     def test_boundary_squared_is_zero_fuzz(self):
-        # build_nerve checks the composite of consecutive boundaries is
-        # zero at construction; drive that check over assorted categories.
+        # The columns check that the composite of consecutive boundaries is
+        # zero as they are built; drive that check over assorted categories.
         cats = [
             terminal_category(),
             interval_category(),
@@ -356,7 +403,19 @@ class TestSpanClosure:
             product(interval_category(), parallel_pair()),
         ]
         for cat in cats:
-            build_nerve(cat, cap=3)
+            build_nerve(cat, cap=3).columns
+
+    def test_columns_are_checked_as_they_are_built(self, monkeypatch):
+        real = nerve_module._faces
+
+        def broken(c, chain):
+            # Every 1-chain's boundary set to one object, so d_1 . d_2 != 0.
+            return {0: 1} if len(chain) == 1 else real(c, chain)
+
+        monkeypatch.setattr(nerve_module, "_faces", broken)
+        nerve = build_nerve(cyclic_group_category(3), cap=3)
+        with pytest.raises(AssertionError, match="boundary squared nonzero in degree 2"):
+            nerve.columns
 
     def test_sparse_check_agrees_with_dense_product(self):
         # Corrupt one entry at a time; the sparse d∘d check must raise
@@ -383,21 +442,21 @@ class TestSpanClosure:
                         col = dict(columns[p][j])
                         col[i] = col.get(i, 0) + 1
                         columns[p][j] = {k: v for k, v in col.items() if v}
-                        broken = dataclasses.replace(
-                            nerve, columns=tuple(tuple(layer) for layer in columns)
-                        )
-                        b = broken.boundaries
-                        dense = any(
+                        b = [
+                            dense(len(nerve.cells[q - 1]), layer)
+                            for q, layer in enumerate(columns) if q
+                        ]
+                        dense_nonzero = any(
                             v
-                            for q in range(2, len(b))
-                            for row in b[q - 1].mul(b[q]).to_rows()
+                            for lower, upper in zip(b, b[1:])
+                            for row in lower.mul(upper).to_rows()
                             for v in row
                         )
                         try:
-                            nerve_module._assert_chain_complex(broken)
+                            nerve_module._assert_chain_complex(columns)
                             sparse = False
                         except AssertionError:
                             sparse = True
-                        assert sparse == dense, (cat.objects, p, i, j)
+                        assert sparse == dense_nonzero, (cat.objects, p, i, j)
                         tripped += sparse
         assert tripped > 100
