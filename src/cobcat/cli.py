@@ -145,7 +145,6 @@ def _run_cat(args) -> object:
         return {"H": [g.to_json() for g in groups]}
     if args.subcommand == "pi1":
         p = nerve.fundamental_group(c, args.base)
-        nerve.check_presentation(p, args.base)
         return {
             "abelianized": exactmath.abelianize(p).to_json(),
             "base": args.base,

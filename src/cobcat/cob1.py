@@ -18,8 +18,8 @@ of the red region relative to the incoming slice.  Every cup opening inside
 a green gap births a red component (+1); every cap whose middle gap is green
 merges two red gaps (-1); all other events leave the count unchanged, and
 the initial red intervals cancel against the relative term.  An independent
-rasterization oracle (``f_invariant_grid``) recomputes the same number by
-counting pixel components and holes on an exact integer grid.
+rasterization oracle (``f_invariant_grid``) recomputes the same number on
+an exact integer grid, as vertices - edges + squares of the red pixels.
 """
 
 from __future__ import annotations
@@ -307,58 +307,25 @@ def _sample_columns(w: PlanarDiagram) -> list[list[int]]:
 
 
 def _euler_of_pixels(red: list[list[bool]]) -> int:
-    """Components (8-connected) minus holes (4-connected complement)."""
-    cols = len(red)
-    rows = len(red[0]) if cols else 0
-    comp = 0
-    seen = [[False] * rows for _ in range(cols)]
-    for c0 in range(cols):
-        for r0 in range(rows):
-            if not red[c0][r0] or seen[c0][r0]:
-                continue
-            comp += 1
-            stack = [(c0, r0)]
-            seen[c0][r0] = True
-            while stack:
-                c, r = stack.pop()
-                for dc in (-1, 0, 1):
-                    for dr in (-1, 0, 1):
-                        c2, r2 = c + dc, r + dr
-                        if 0 <= c2 < cols and 0 <= r2 < rows:
-                            if red[c2][r2] and not seen[c2][r2]:
-                                seen[c2][r2] = True
-                                stack.append((c2, r2))
-    holes = 0
-    for c0 in range(cols):
-        for r0 in range(rows):
-            if red[c0][r0] or seen[c0][r0]:
-                continue
-            touches_border = False
-            stack = [(c0, r0)]
-            seen[c0][r0] = True
-            cells = [(c0, r0)]
-            while stack:
-                c, r = stack.pop()
-                if c in (0, cols - 1) or r in (0, rows - 1):
-                    touches_border = True
-                for c2, r2 in ((c - 1, r), (c + 1, r), (c, r - 1), (c, r + 1)):
-                    if 0 <= c2 < cols and 0 <= r2 < rows:
-                        if not red[c2][r2] and not seen[c2][r2]:
-                            seen[c2][r2] = True
-                            stack.append((c2, r2))
-                            cells.append((c2, r2))
-            if not touches_border:
-                holes += 1
-    return comp - holes
+    """χ of the red pixels taken as closed unit squares: vertices - edges +
+    squares.  Pixel (c, r) is the square [c, c + 1] × [r, r + 1]; an edge
+    is keyed by its lower or left end and 0 for horizontal, 1 for vertical.
+    """
+    squares = [(c, r) for c, col in enumerate(red) for r, on in enumerate(col) if on]
+    vertices = {(c + dc, r + dr) for c, r in squares for dc in (0, 1) for dr in (0, 1)}
+    edges = {
+        e for c, r in squares for e in ((c, r, 0), (c, r + 1, 0), (c, r, 1), (c + 1, r, 1))
+    }
+    return len(vertices) - len(edges) + len(squares)
 
 
 def f_invariant_grid(w: PlanarDiagram) -> int:
     """Recompute f by rasterizing the red region on an exact integer grid.
 
-    Independent of the sweep: counts pixel components minus holes, then
-    subtracts the red intervals of the first sample column.  Agreement with
-    ``f_invariant`` is exact on the tested corpus; intended for words of
-    moderate length (the grid is quadratic in word length).
+    Independent of the sweep: counts the vertices, edges and squares of the
+    red pixels, then subtracts the red intervals of the first sample column.
+    Agreement with ``f_invariant`` is exact on the tested corpus; intended
+    for words of moderate length (the grid is quadratic in word length).
     """
     if not w.slices:
         return 0

@@ -96,9 +96,7 @@ class SurfaceComponent:
 
     @property
     def chi(self) -> int:
-        if self.orientable:
-            return 2 - 2 * self.genus - self.boundary_count
-        return 2 - self.genus - self.boundary_count
+        return chi_of_class((self.orientable, self.genus)) - self.boundary_count
 
     def eps_map(self) -> dict[tuple[str, str], int]:
         return {(side, cid): sign for side, cid, sign in self.eps}

@@ -147,27 +147,32 @@ def validate_category(c: FinCat) -> list[str]:
             issues.append(
                 f"identity of {c.objects[x]!r} is not an endomorphism of it"
             )
-    composable = {(f, g) for f in range(n) for g in range(n) if c.tgt[f] == c.src[g]}
-    for key in c.table:
-        if key not in composable:
-            f, g = key
+    # Each object's outgoing morphisms in index order: walking f, then g out
+    # of f's target, then h out of g's target, meets the composable pairs
+    # and triples in lexicographic order.
+    out: list[list[int]] = [[] for _ in c.objects]
+    for g in range(n):
+        out[c.src[g]].append(g)
+    for f, g in c.table:
+        if c.tgt[f] != c.src[g]:
             issues.append(
                 f"table entry for non-composable pair ({c.morphisms[f]!r}, {c.morphisms[g]!r})"
             )
-    for f, g in sorted(composable):
-        if (f, g) not in c.table:
-            issues.append(
-                f"missing composite of {c.morphisms[f]!r} then {c.morphisms[g]!r}"
-            )
-            continue
-        h = c.table[(f, g)]
-        if not (0 <= h < n):
-            issues.append(f"composite index out of range for pair ({f}, {g})")
-            continue
-        if c.src[h] != c.src[f] or c.tgt[h] != c.tgt[g]:
-            issues.append(
-                f"composite of {c.morphisms[f]!r} then {c.morphisms[g]!r} has wrong endpoints"
-            )
+    for f in range(n):
+        for g in out[c.tgt[f]]:
+            if (f, g) not in c.table:
+                issues.append(
+                    f"missing composite of {c.morphisms[f]!r} then {c.morphisms[g]!r}"
+                )
+                continue
+            h = c.table[(f, g)]
+            if not (0 <= h < n):
+                issues.append(f"composite index out of range for pair ({f}, {g})")
+                continue
+            if c.src[h] != c.src[f] or c.tgt[h] != c.tgt[g]:
+                issues.append(
+                    f"composite of {c.morphisms[f]!r} then {c.morphisms[g]!r} has wrong endpoints"
+                )
     if issues:
         return issues
     for f in range(n):
@@ -178,15 +183,10 @@ def validate_category(c: FinCat) -> list[str]:
         if c.table[(f, i_tgt)] != f:
             issues.append(f"right identity law fails at {c.morphisms[f]!r}")
     for f in range(n):
-        for g in range(n):
-            if c.tgt[f] != c.src[g]:
-                continue
+        for g in out[c.tgt[f]]:
             fg = c.table[(f, g)]
-            for h in range(n):
-                if c.tgt[g] != c.src[h]:
-                    continue
-                gh = c.table[(g, h)]
-                if c.table[(fg, h)] != c.table[(f, gh)]:
+            for h in out[c.tgt[g]]:
+                if c.table[(fg, h)] != c.table[(f, c.table[(g, h)])]:
                     issues.append(
                         "associativity fails on "
                         f"({c.morphisms[f]!r}, {c.morphisms[g]!r}, {c.morphisms[h]!r})"

@@ -52,12 +52,12 @@ def abelian_loop_classes(
     Returns ``(invariants, classes, presentation)`` where ``classes[f]`` is
     the coordinate vector of morphism f transported to the basepoint
     (identities are zero) and ``presentation`` is the one of
-    ``nerve.fundamental_group`` they are read from.  Its dense relator
-    matrix is priced by ``nerve.check_presentation`` before it is reduced.
+    ``nerve.fundamental_group`` they are read from.  That function prices
+    the presentation's dense relator matrix as it builds it, so nothing is
+    reduced past the cell ceiling.
     """
-    from .nerve import check_presentation, component_objects, fundamental_group
+    from .nerve import component_objects, fundamental_group
     p = fundamental_group(c, basepoint)
-    check_presentation(p, basepoint)
     invariants, gen_classes = quotient_group(p.exponent_matrix(), len(p.generators))
     zero = [(0, mod) for _, mod in gen_classes[0]] if gen_classes else []
     classes: dict[int, list[tuple[int, int]]] = {}

@@ -238,50 +238,42 @@ def mat_mul(fld, a, b) -> tuple[tuple, ...]:
     return tuple(out)
 
 
-def mat_det(fld, a):
+def _gauss_jordan(fld, a) -> tuple[object, tuple[tuple, ...] | None]:
+    """Determinant and inverse of a square matrix from one Gauss–Jordan pass
+    over [a | I].  The determinant is the product of the pivots, negated once
+    per row swap; the inverse is None when the matrix is singular."""
     n = len(a)
     if any(len(row) != n for row in a):
-        raise ValueError("determinant needs a square matrix")
-    rows = [list(row) for row in a]
+        raise ValueError("determinant and inverse need a square matrix")
+    zero = fld.zero()
+    rows = [list(row) + list(erow) for row, erow in zip(a, mat_identity(fld, n))]
     det = fld.one()
     for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != fld.zero()), None)
+        pivot = next((r for r in range(col, n) if rows[r][col] != zero), None)
         if pivot is None:
-            return fld.zero()
+            return zero, None
         if pivot != col:
             rows[col], rows[pivot] = rows[pivot], rows[col]
             det = fld.neg(det)
         det = fld.mul(det, rows[col][col])
         inv = fld.inv(rows[col][col])
-        for r in range(col + 1, n):
-            factor = fld.mul(rows[r][col], inv)
-            if factor == fld.zero():
-                continue
-            for j in range(col, n):
-                rows[r][j] = fld.sub(rows[r][j], fld.mul(factor, rows[col][j]))
-    return det
+        rows[col] = [fld.mul(inv, v) for v in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col] != zero:
+                factor = rows[r][col]
+                rows[r] = [fld.sub(v, fld.mul(factor, w)) for v, w in zip(rows[r], rows[col])]
+    return det, tuple(tuple(row[n:]) for row in rows)
+
+
+def mat_det(fld, a):
+    return _gauss_jordan(fld, a)[0]
 
 
 def mat_inv(fld, a) -> tuple[tuple, ...]:
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("inverse needs a square matrix")
-    rows = [list(row) + list(erow) for row, erow in zip(a, mat_identity(fld, n))]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != fld.zero()), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = fld.inv(rows[col][col])
-        rows[col] = [fld.mul(inv, v) for v in rows[col]]
-        for r in range(n):
-            if r == col or rows[r][col] == fld.zero():
-                continue
-            factor = rows[r][col]
-            rows[r] = [
-                fld.sub(v, fld.mul(factor, w)) for v, w in zip(rows[r], rows[col])
-            ]
-    return tuple(tuple(row[n:]) for row in rows)
+    inv = _gauss_jordan(fld, a)[1]
+    if inv is None:
+        raise ValueError("matrix is singular")
+    return inv
 
 
 def mat_to_json(fld, a) -> list:

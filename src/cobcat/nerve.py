@@ -379,6 +379,9 @@ def fundamental_group(c: FinCat, basepoint: str) -> GroupPresentation:
     ``f: x -> y``, ``g: y -> z`` of non-identities the word ``g f h^-1``
     where ``h = g after f`` (the ``h`` letter is dropped when the composite
     is an identity).  The presentation is raw: no Tietze move shrinks it.
+    Its dense relator matrix, relators times generators entries, is held to
+    the cell ceiling here, before anything reduces it, so every command that
+    reads the presentation is priced by this one check.
     """
     component = component_objects(c, basepoint)
     gens = [
@@ -389,51 +392,38 @@ def fundamental_group(c: FinCat, basepoint: str) -> GroupPresentation:
     gen_letter = {f: i + 1 for i, f in enumerate(gens)}
 
     # Breadth-first spanning tree, scanning morphisms in index order so the
-    # result is deterministic.
+    # result is deterministic.  A morphism joins the tree only when exactly
+    # one of its ends has been visited, so an endomorphism never does.
     base = c.object_index(basepoint)
     visited = {base}
-    frontier = [base]
     tree_edges: set[int] = set()
-    while frontier:
-        next_frontier = []
+    grew = True
+    while grew:
+        grew = False
         for f in gens:
             x, y = c.src[f], c.tgt[f]
-            if x in visited and y not in visited:
+            if (x in visited) != (y in visited):
                 tree_edges.add(f)
-                visited.add(y)
-                next_frontier.append(y)
-            elif y in visited and x not in visited:
-                tree_edges.add(f)
-                visited.add(x)
-                next_frontier.append(x)
-        if not next_frontier:
-            break
-        frontier = next_frontier
+                visited.update((x, y))
+                grew = True
 
-    relators: list[tuple[int, ...]] = []
-    for f in sorted(tree_edges):
-        relators.append((gen_letter[f],))
+    out: list[list[int]] = [[] for _ in c.objects]
+    for g in gens:
+        out[c.src[g]].append(g)
+    relators: list[tuple[int, ...]] = [(gen_letter[f],) for f in sorted(tree_edges)]
     for f in gens:
-        for g in gens:
-            if c.tgt[f] != c.src[g]:
-                continue
+        for g in out[c.tgt[f]]:
             h = c.compose(f, g)
             if c.is_identity(h):
                 relators.append((gen_letter[g], gen_letter[f]))
             else:
                 relators.append((gen_letter[g], gen_letter[f], -gen_letter[h]))
-    return GroupPresentation(
-        tuple(c.morphisms[f] for f in gens), tuple(relators)
-    )
-
-
-def check_presentation(p: GroupPresentation, basepoint: str) -> None:
-    """Hold the dense relator matrix of the presentation at the basepoint,
-    rows times generators entries, to the cell ceiling before anything
-    reduces it."""
-    rows, width = len(p.relators), len(p.generators)
+    rows, width = len(relators), len(gens)
     check_count(
         rows * width,
         f"the presentation at {basepoint} would reduce {rows} relators over "
         f"{width} generators, {rows * width} matrix entries",
+    )
+    return GroupPresentation(
+        tuple(c.morphisms[f] for f in gens), tuple(relators)
     )

@@ -4,6 +4,8 @@
 word with its own sweep, so it checks ``compose_abstract``'s union-find
 gluing independently.  The moves (commuting distant events, cancelling and
 inserting zigzags) are the isotopies under which ``f`` must not change.
+``euler_by_flood_fill`` counts components and holes of a pixel set, the
+reference for the cell count ``cob1._euler_of_pixels``.
 """
 
 from __future__ import annotations
@@ -143,3 +145,48 @@ def insert_zigzag(w: PlanarDiagram, t: int, i: int, up: bool) -> PlanarDiagram:
         if not 1 <= i <= count:
             raise ValueError("zigzag needs a strand below the cup")
     return PlanarDiagram(w.m, w.slices[:t] + pair + w.slices[t:])
+
+
+def euler_by_flood_fill(red: list[list[bool]]) -> int:
+    """Components (8-connected) minus holes (4-connected complement
+    components that do not touch the border) of the red pixels."""
+    cols = len(red)
+    rows = len(red[0]) if cols else 0
+    comp = 0
+    seen = [[False] * rows for _ in range(cols)]
+    for c0 in range(cols):
+        for r0 in range(rows):
+            if not red[c0][r0] or seen[c0][r0]:
+                continue
+            comp += 1
+            stack = [(c0, r0)]
+            seen[c0][r0] = True
+            while stack:
+                c, r = stack.pop()
+                for dc in (-1, 0, 1):
+                    for dr in (-1, 0, 1):
+                        c2, r2 = c + dc, r + dr
+                        if 0 <= c2 < cols and 0 <= r2 < rows:
+                            if red[c2][r2] and not seen[c2][r2]:
+                                seen[c2][r2] = True
+                                stack.append((c2, r2))
+    holes = 0
+    for c0 in range(cols):
+        for r0 in range(rows):
+            if red[c0][r0] or seen[c0][r0]:
+                continue
+            touches_border = False
+            stack = [(c0, r0)]
+            seen[c0][r0] = True
+            while stack:
+                c, r = stack.pop()
+                if c in (0, cols - 1) or r in (0, rows - 1):
+                    touches_border = True
+                for c2, r2 in ((c - 1, r), (c + 1, r), (c, r - 1), (c, r + 1)):
+                    if 0 <= c2 < cols and 0 <= r2 < rows:
+                        if not red[c2][r2] and not seen[c2][r2]:
+                            seen[c2][r2] = True
+                            stack.append((c2, r2))
+            if not touches_border:
+                holes += 1
+    return comp - holes

@@ -1,6 +1,8 @@
 """Constructions on finite categories that only the tests build: products,
 coproducts, functors, natural transformations, the wire format written
-back out, and the cyclic groups as one-object categories."""
+back out, and the cyclic groups as one-object categories.  Also the
+axiom check over all pairs and triples of morphisms, the oracle for
+``validate_category``, which walks only the composable ones."""
 
 from __future__ import annotations
 
@@ -188,3 +190,64 @@ def cyclic_group_category(n: int) -> FinCat:
         (f"r{a}", f"r{b}", f"r{(a + b) % n}") for a in range(n) for b in range(n)
     ]
     return build_category(objects, morphisms, identities, compose)
+
+
+def validate_category_all_pairs(c: FinCat) -> list[str]:
+    """The axiom check that filters all n² pairs and n³ triples of
+    morphisms for the composable ones: the issues of ``validate_category``,
+    in the same order."""
+    issues: list[str] = []
+    n = len(c.morphisms)
+    for x, i in enumerate(c.identity):
+        if not (0 <= i < n):
+            issues.append(f"object {c.objects[x]!r} has no identity morphism")
+            continue
+        if c.src[i] != x or c.tgt[i] != x:
+            issues.append(
+                f"identity of {c.objects[x]!r} is not an endomorphism of it"
+            )
+    composable = {(f, g) for f in range(n) for g in range(n) if c.tgt[f] == c.src[g]}
+    for key in c.table:
+        if key not in composable:
+            f, g = key
+            issues.append(
+                f"table entry for non-composable pair ({c.morphisms[f]!r}, {c.morphisms[g]!r})"
+            )
+    for f, g in sorted(composable):
+        if (f, g) not in c.table:
+            issues.append(
+                f"missing composite of {c.morphisms[f]!r} then {c.morphisms[g]!r}"
+            )
+            continue
+        h = c.table[(f, g)]
+        if not (0 <= h < n):
+            issues.append(f"composite index out of range for pair ({f}, {g})")
+            continue
+        if c.src[h] != c.src[f] or c.tgt[h] != c.tgt[g]:
+            issues.append(
+                f"composite of {c.morphisms[f]!r} then {c.morphisms[g]!r} has wrong endpoints"
+            )
+    if issues:
+        return issues
+    for f in range(n):
+        i_src = c.identity[c.src[f]]
+        i_tgt = c.identity[c.tgt[f]]
+        if c.table[(i_src, f)] != f:
+            issues.append(f"left identity law fails at {c.morphisms[f]!r}")
+        if c.table[(f, i_tgt)] != f:
+            issues.append(f"right identity law fails at {c.morphisms[f]!r}")
+    for f in range(n):
+        for g in range(n):
+            if c.tgt[f] != c.src[g]:
+                continue
+            fg = c.table[(f, g)]
+            for h in range(n):
+                if c.tgt[g] != c.src[h]:
+                    continue
+                gh = c.table[(g, h)]
+                if c.table[(fg, h)] != c.table[(f, gh)]:
+                    issues.append(
+                        "associativity fails on "
+                        f"({c.morphisms[f]!r}, {c.morphisms[g]!r}, {c.morphisms[h]!r})"
+                    )
+    return issues

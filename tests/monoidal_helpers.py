@@ -1,6 +1,7 @@
-"""Matrix and JSON helpers, the invertibility check, and the two oracles for
-Picard equivalence (the isomorphism search and the F2 flag orbits) that only
-the Picard and field-theory tests use."""
+"""Matrix and JSON helpers, the invertibility check, and the oracles that
+only the Picard and field-theory tests use: the Leibniz determinant for
+``mat_det``, and for Picard equivalence the isomorphism search and the F2
+flag orbits."""
 
 from __future__ import annotations
 
@@ -22,6 +23,20 @@ from cobcat.monoidal import (
 
 def mat_transpose(a) -> tuple[tuple, ...]:
     return tuple(zip(*a)) if a else ()
+
+
+def leibniz_det(fld, a):
+    """The sum over permutations p of sign(p) times the product of the
+    entries a[i][p(i)], the reference for ``mat_det``."""
+    n = len(a)
+    total = fld.zero()
+    for perm in itertools.permutations(range(n)):
+        term = fld.one()
+        for i, j in enumerate(perm):
+            term = fld.mul(term, a[i][j])
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total = fld.add(total, fld.neg(term) if inversions % 2 else term)
+    return total
 
 
 def mat_kron(fld, a, b) -> tuple[tuple, ...]:

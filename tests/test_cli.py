@@ -704,6 +704,17 @@ class TestRelatorPrice:
         ok(*argv, path)
 
 
+class TestCategoryLoad:
+    def test_sixty_element_chain_loads_in_under_a_second(self, tmp_path):
+        # 1,830 morphisms: the axiom check walks the C(63, 4) = 595,665
+        # composable triples, not every pair and triple of morphisms.
+        path = write(tmp_path, "chain60.json", to_json(chain_category(60)))
+        start = time.perf_counter()
+        result = ok("cat", "pi0", path)
+        assert time.perf_counter() - start < 1
+        assert result == {"components": [sorted(f"c{i}" for i in range(60))]}
+
+
 class TestCeilingVariable:
     @pytest.mark.parametrize("value", ["0", "-2", "abc", ""])
     @pytest.mark.parametrize("argv", [["cat", "homology", "--cap", "3"], ["relations"]])

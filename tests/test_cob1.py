@@ -9,6 +9,7 @@ from cobcat.cob1 import (
     CUP,
     Matching1D,
     PlanarDiagram,
+    _euler_of_pixels,
     cap_matching,
     compose_abstract,
     compose_planar,
@@ -33,6 +34,7 @@ from cob1_helpers import (
     act_boundary,
     cancel_zigzag,
     commute_events,
+    euler_by_flood_fill,
     insert_zigzag,
     planar_circles,
     planar_identity,
@@ -402,6 +404,41 @@ class TestGridOracle:
             m = rng.choice((0, 1, 2, 3, 4))
             w = random_planar_word(rng, m, rng.randint(0, 10))
             assert f_invariant_grid(w) == f_invariant(w), w
+
+
+def _pixels(*rows: str) -> list[list[bool]]:
+    """A grid drawn as text, one string per column: '#' is red."""
+    return [[ch == "#" for ch in row] for row in rows]
+
+
+grids = st.integers(0, 12).flatmap(
+    lambda cols: st.integers(1, 12).flatmap(
+        lambda rows: st.lists(
+            st.lists(st.booleans(), min_size=rows, max_size=rows),
+            min_size=cols,
+            max_size=cols,
+        )
+    )
+)
+
+
+class TestEulerOfPixels:
+    def test_diagonal_pixels_touch(self):
+        red = _pixels("#.", ".#")
+        assert _euler_of_pixels(red) == euler_by_flood_fill(red) == 1
+
+    def test_ring_missing_a_corner_is_still_closed(self):
+        red = _pixels(".##", "#.#", "###")
+        assert _euler_of_pixels(red) == euler_by_flood_fill(red) == 0
+
+    def test_ring_missing_an_edge_pixel_is_open(self):
+        red = _pixels("#.#", "#.#", "###")
+        assert _euler_of_pixels(red) == euler_by_flood_fill(red) == 1
+
+    @given(grids)
+    @settings(max_examples=300, deadline=None)
+    def test_cell_count_matches_flood_fill(self, red):
+        assert _euler_of_pixels(red) == euler_by_flood_fill(red)
 
 
 class TestMoves:

@@ -1,6 +1,9 @@
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cobcat.fincat import (
     FinCat,
@@ -23,6 +26,7 @@ from fincat_helpers import (
     disjoint_union,
     product,
     to_json,
+    validate_category_all_pairs,
 )
 
 
@@ -89,6 +93,54 @@ class TestValidation:
         cat = FinCat(("a",), ("e",), (0,), (0,), (-1,), {})
         issues = validate_category(cat)
         assert any("no identity" in issue for issue in issues)
+
+
+SMALL_CATEGORIES = [
+    terminal_category(),
+    interval_category(),
+    parallel_pair(),
+    cyclic_group_category(3),
+    subset_poset_category(3),
+    product(cyclic_group_category(2), interval_category()),
+    disjoint_union(cyclic_group_category(2), parallel_pair()),
+]
+
+
+@st.composite
+def corrupted_categories(draw):
+    """A small lawful category with one to three of these corruptions: a
+    composite changed (possibly out of range), an entry dropped, an entry
+    added for a non-composable pair, an identity moved or removed."""
+    c = draw(st.sampled_from(SMALL_CATEGORIES))
+    n = len(c.morphisms)
+    table, identity = dict(c.table), list(c.identity)
+    loose = [(f, g) for f in range(n) for g in range(n) if c.tgt[f] != c.src[g]]
+    kinds = ["change", "drop", "identity"] + (["add"] if loose else [])
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=3)):
+        keys = sorted(table)
+        if kind == "change" and keys:
+            table[draw(st.sampled_from(keys))] = draw(st.integers(-1, n))
+        elif kind == "drop" and keys:
+            del table[draw(st.sampled_from(keys))]
+        elif kind == "add":
+            table[draw(st.sampled_from(loose))] = draw(st.integers(0, n - 1))
+        elif kind == "identity":
+            identity[draw(st.integers(0, len(identity) - 1))] = draw(st.integers(-1, n))
+    return dataclasses.replace(c, table=table, identity=tuple(identity))
+
+
+class TestValidationOracle:
+    """``validate_category`` walks composable pairs and triples; the oracle
+    filters all of them, and both report the same issues in the same order."""
+
+    def test_lawful_categories_agree(self):
+        for c in SMALL_CATEGORIES:
+            assert validate_category(c) == validate_category_all_pairs(c) == []
+
+    @given(corrupted_categories())
+    @settings(max_examples=300, deadline=None)
+    def test_corrupted_categories_agree(self, c):
+        assert validate_category(c) == validate_category_all_pairs(c)
 
 
 class TestGroupoid:

@@ -53,6 +53,7 @@ from monoidal_helpers import (
     flag_orbits,
     frobenius_to_json,
     invertibility_check,
+    leibniz_det,
     mat_kron,
     mat_to_json_per_entry,
     mat_transpose,
@@ -148,6 +149,29 @@ class TestMatrices:
         assert mat_det(QQ, a) == QQ.zero()
         with pytest.raises(ValueError):
             mat_inv(QQ, a)
+
+    @pytest.mark.parametrize("p", [None, 2, 3, 5, 7])
+    def test_det_and_inverse_match_leibniz(self, p):
+        # Sparse entries put zeros on the diagonal, so pivots need row swaps.
+        fld = QQ if p is None else PrimeField(p)
+        rng = random.Random(23)
+        swapped = 0
+        for _ in range(300):
+            n = rng.randint(0, 5)
+            a = tuple(
+                tuple(fld.from_int(rng.randint(-3, 3)) if rng.random() < 0.4 else fld.zero()
+                      for _ in range(n))
+                for _ in range(n)
+            )
+            det = mat_det(fld, a)
+            assert det == leibniz_det(fld, a)
+            if det == fld.zero():
+                with pytest.raises(ValueError, match="singular"):
+                    mat_inv(fld, a)
+            else:
+                assert mat_mul(fld, a, mat_inv(fld, a)) == mat_identity(fld, n)
+                swapped += n > 0 and a[0][0] == fld.zero()
+        assert swapped >= 5
 
     def test_kron(self):
         a = mat_from_rows(QQ, [[1, 2]])

@@ -1,5 +1,6 @@
 import gc
 import random
+import signal
 import time
 
 import pytest
@@ -379,6 +380,34 @@ class TestFundamentalGroup:
             h1 = homology(build_nerve(cat, cap=2))[1]
             pi = abelianize(fundamental_group(cat, cat.objects[0]))
             assert h1 == pi, f"hurewicz mismatch for {cat.objects}"
+
+    def test_relators_pinned_with_endomorphisms(self):
+        # (r1,id_a) and (r1,id_b) are endomorphisms.  A spanning-tree sweep
+        # that let one through would grow forever, so the alarm ends it.
+        def hang(signum, frame):
+            raise TimeoutError("the spanning-tree sweep did not finish")
+
+        cat = product(cyclic_group_category(2), interval_category())
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(5)
+        try:
+            presentations = [fundamental_group(cat, base) for base in ("(*,a)", "(*,b)")]
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        for p in presentations:
+            assert p.generators == ("(r0,f)", "(r1,id_a)", "(r1,id_b)", "(r1,f)")
+            assert p.relators == (
+                (1,), (3, 1, -4), (1, 2, -4), (2, 2), (4, 2, -1), (3, 3), (3, 4, -1)
+            )
+
+    def test_presentation_is_priced_where_it_is_built(self, monkeypatch):
+        # BZ/3: 4 relators (r1 r1, r1 r2, r2 r1, r2 r2) over 2 generators.
+        monkeypatch.setenv("COBCAT_MAX_CELLS", "7")
+        with pytest.raises(ResourceLimitExceeded, match="4 relators over 2 generators, 8 matrix"):
+            fundamental_group(cyclic_group_category(3), "*")
+        monkeypatch.setenv("COBCAT_MAX_CELLS", "8")
+        assert len(fundamental_group(cyclic_group_category(3), "*").relators) == 4
 
     def test_basepoint_in_other_component(self):
         cat = disjoint_union(parallel_pair(), terminal_category())
