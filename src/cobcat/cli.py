@@ -21,7 +21,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 
-from .limits import ResourceLimitExceeded
+from .limits import ResourceLimitExceeded, parse_int
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cat = sub.add_parser("cat", help="finite categories and their nerves")
     cat_sub = cat.add_subparsers(dest="subcommand", required=True)
     hom = cat_sub.add_parser("homology", help="integer homology of the nerve")
-    hom.add_argument("--cap", type=int, default=3, help="degrees computed: H_0..H_{cap-1}")
-    hom.add_argument("--max-cells", type=int, default=None, help="cell ceiling override")
+    hom.add_argument("--cap", type=parse_int, default=3, help="degrees computed: H_0..H_{cap-1}")
     hom.add_argument("path", help="category JSON file")
     pi1p = cat_sub.add_parser("pi1", help="fundamental group presentation")
     pi1p.add_argument("--base", required=True, help="basepoint object")
@@ -72,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     aut.add_argument("--base", required=True, help="basepoint object")
     aut.add_argument("path")
     surf = loc_sub.add_parser("surfaces", help="surface relation engine")
-    surf.add_argument("--max-chi", type=int, default=4, dest="max_chi",
+    surf.add_argument("--max-chi", type=parse_int, default=4, dest="max_chi",
                       help="complexity bound: classes with chi >= -N")
 
     c1 = sub.add_parser("cob1", help="planar diagram words")
@@ -95,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cls2 = c2_sub.add_parser("class", help="connected-class factorization of a closed surface")
     cls2.add_argument("path")
     kch = c2_sub.add_parser("kcheck", help="connectivity of the outgoing boundary")
-    kch.add_argument("--k", type=int, default=0)
+    kch.add_argument("--k", type=parse_int, default=0)
     kch.add_argument("path")
 
     pic = sub.add_parser("picard", help="skeletal symmetric monoidal groupoids")
@@ -107,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     peq.add_argument("first")
     peq.add_argument("second")
     pc1 = pic_sub.add_parser("cob1", help="derived Picard data of the 1d localization")
-    pc1.add_argument("--max-points", type=int, default=8, dest="max_points")
+    pc1.add_argument("--max-points", type=parse_int, default=8, dest="max_points")
 
     fr = sub.add_parser("frob", help="field theories from a symmetric pairing")
     fr_sub = fr.add_subparsers(dest="subcommand", required=True)
@@ -137,11 +136,9 @@ def _load(path: str):
 
 def _run_cat(args) -> object:
     from . import exactmath, fincat, nerve
-    if args.subcommand == "homology" and args.max_cells is not None and args.max_cells < 1:
-        raise ValueError(f"--max-cells must be positive, got {args.max_cells}")
     c = fincat.from_json(_load(args.path))
     if args.subcommand == "homology":
-        groups = nerve.homology(nerve.build_nerve(c, args.cap, args.max_cells))
+        groups = nerve.homology(nerve.build_nerve(c, args.cap))
         return {"H": [g.to_json() for g in groups]}
     if args.subcommand == "pi1":
         p = nerve.fundamental_group(c, args.base)
@@ -218,7 +215,7 @@ def _parse_element(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
         return ()
-    return tuple(int(part) for part in text.split(","))
+    return tuple(parse_int(part) for part in text.split(","))
 
 
 def _run_picard(args) -> object:

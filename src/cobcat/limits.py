@@ -1,9 +1,11 @@
 """Shared resource-ceiling plumbing.
 
-Long-running enumerations (nerve cells, surface and planar closings,
-relator matrices) refuse to grow past a configurable ceiling instead of
-exhausting memory or time.  The CLI maps
-:class:`ResourceLimitExceeded` to exit code 2.
+Every super-linear computation counts its work in closed form and hands the
+count to :func:`check_count` before it starts.  One ceiling,
+``COBCAT_MAX_CELLS`` (default 10^6), prices nerve degrees and cells, the
+relator matrix of an edge-path presentation, surface and planar closings,
+``frob eval`` entries and circle powers, and associator quadruples.  The CLI
+maps :class:`ResourceLimitExceeded` to exit code 2.
 """
 
 from __future__ import annotations
@@ -18,15 +20,23 @@ class ResourceLimitExceeded(RuntimeError):
     """An enumeration hit its configured ceiling before finishing."""
 
 
+def parse_int(text: str) -> int:
+    """An optional ``-`` and ASCII digits, where ``int`` also takes ``+``, blanks,
+    ``_`` and other scripts' digits; anything else fails with ``int``'s message."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
 def max_cells_default() -> int:
-    """Cell ceiling from the environment, or the built-in default; the CLI
-    flag overrides it.  A value that is not a positive integer is bad input.
-    """
+    """Cell ceiling from the environment, or the built-in default; a value
+    that is not a positive integer is bad input."""
     raw = os.environ.get(MAX_CELLS_ENV)
     if raw is None:
         return DEFAULT_MAX_CELLS
     try:
-        value = int(raw)
+        value = parse_int(raw)
     except ValueError:
         value = 0
     if value < 1:

@@ -26,7 +26,7 @@ from functools import cached_property
 
 from .exactmath import AbelianInvariants, GroupPresentation, IntMatrix, UnionFind, smith_diagonal
 from .fincat import FinCat
-from .limits import MAX_CELLS_ENV, ResourceLimitExceeded, check_count, max_cells_default
+from .limits import check_count
 
 DEFAULT_CAP = 3
 
@@ -93,24 +93,19 @@ class NerveComplex:
         return tuple(out)
 
 
-def build_nerve(c: FinCat, cap: int = DEFAULT_CAP, max_cells: int | None = None) -> NerveComplex:
+def build_nerve(c: FinCat, cap: int = DEFAULT_CAP) -> NerveComplex:
     """Price the nerve up to degree ``cap``: count its cells in each degree,
     by paths over the non-identities, and enumerate none of them.
 
-    Raises :class:`ResourceLimitExceeded` if the total number of cells would
-    pass ``max_cells`` (default from COBCAT_MAX_CELLS or 10**6).  Each of the
-    ``cap + 1`` degrees counts as at least one cell, even an empty one, so a
-    huge cap is refused at once.  Every cell :func:`homology` projects is a
-    nerve cell, so the count bounds its work too.
+    Both prices go through :func:`~cobcat.limits.check_count`, so the one
+    ceiling is ``COBCAT_MAX_CELLS``.  The ``cap + 1`` degrees are priced
+    first, so a huge cap is refused at once; then the running cell total at
+    each degree.  Every cell :func:`homology` projects is a nerve cell, so
+    the count bounds its work too.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    ceiling = max_cells_default() if max_cells is None else max_cells
-    if cap + 1 > ceiling:
-        raise ResourceLimitExceeded(
-            f"--cap {cap} asks for {cap + 1} degrees, over the cell ceiling of "
-            f"{ceiling} (--max-cells / {MAX_CELLS_ENV})"
-        )
+    check_count(cap + 1, f"--cap {cap} asks for {cap + 1} degrees")
     non_identities = [f for f in range(len(c.morphisms)) if not c.is_identity(f)]
     # Chains of degree p ending at each object, v_p[y] = sum of v_{p-1}[x]
     # over the non-identities x -> y; above an empty degree all are empty.
@@ -123,11 +118,7 @@ def build_nerve(c: FinCat, cap: int = DEFAULT_CAP, max_cells: int | None = None)
                 ends[c.tgt[f]] += last[c.src[f]]
             counts.append(sum(ends))
             total += counts[-1]
-        if total > ceiling:
-            raise ResourceLimitExceeded(
-                f"nerve would reach {total} cells at degree {p}, over the cell "
-                f"ceiling of {ceiling} (--max-cells / {MAX_CELLS_ENV})"
-            )
+        check_count(total, f"nerve would reach {total} cells at degree {p}")
         if not any(ends):
             break
     return NerveComplex(c, cap, tuple(counts) + (0,) * (cap + 1 - len(counts)))

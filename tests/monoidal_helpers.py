@@ -1,7 +1,7 @@
 """Matrix and JSON helpers, the invertibility check, and the oracles that
 only the Picard and field-theory tests use: the Leibniz determinant for
-``mat_det``, and for Picard equivalence the isomorphism search and the F2
-flag orbits."""
+``mat_det``, the associator check over element tuples, and for Picard
+equivalence the isomorphism search and the F2 flag orbits."""
 
 from __future__ import annotations
 
@@ -95,6 +95,62 @@ def invertibility_check(evaluator: FullEvaluator, samples) -> bool:
         if mat_det(fld, evaluator.evaluate(w)) == fld.zero():
             return False
     return True
+
+
+# -- the associator check over element tuples, the oracle for _validate_h --
+
+
+def associator_oracle(pi0: AbelianInvariants, pi1: AbelianInvariants, h_rows) -> str | None:
+    """None when ``h_rows`` is a normalized 3-cocycle pi0^3 -> pi1, else the
+    message that ``picard`` refuses it with.  The pentagon is checked on every
+    quadruple of element tuples, with ``AbGroup`` arithmetic at each step and
+    no price; ``PicardData._validate_h`` walks element indices instead."""
+    g0, g1 = AbGroup(pi0), AbGroup(pi1)
+    entries = sorted(
+        (g0.normalize(x), g0.normalize(y), g0.normalize(z), g1.normalize(v))
+        for x, y, z, v in h_rows
+    )
+    if not entries:
+        return None
+    zero0, zero1 = g0.zero(), g1.zero()
+    lookup = {}
+    for x, y, z, v in entries:
+        if (x, y, z) in lookup:
+            return "duplicate associator entry"
+        lookup[(x, y, z)] = v
+        if zero0 in (x, y, z) and v != zero1:
+            return "associator must vanish on unit arguments"
+    if g0.order() is None:
+        return "nonzero associator tables are only supported on finite groups"
+    elems = list(g0.elements())
+    h = lambda x, y, z: lookup.get((x, y, z), zero1)
+    sub = lambda a, b: g1.add(a, g1.neg(b))
+    add0 = g0.add
+    for w, x, y, z in itertools.product(elems, repeat=4):
+        total = h(x, y, z)
+        total = sub(total, h(add0(w, x), y, z))
+        total = g1.add(total, h(w, add0(x, y), z))
+        total = sub(total, h(w, x, add0(y, z)))
+        total = g1.add(total, h(w, x, y))
+        if total != zero1:
+            return "associator table fails the cocycle identity"
+    return None
+
+
+def carry_cocycle(pi0: AbelianInvariants, i: int, j: int, g) -> list:
+    """The table of h(a, b, c) = a_i * carry_j(b + c) * g, where carry_j is 1
+    when the j-th coordinates of b and c wrap around and 0 otherwise.
+    It is the cup product of the 1-cocycle a -> a_i g with the carry
+    2-cocycle, so a normalized 3-cocycle whenever d_i g = 0 for the order d_i
+    of the i-th coordinate of the finite group pi0."""
+    elems = list(AbGroup(pi0).elements())
+    return [
+        (a, b, c, tuple(a[i] * v for v in g))
+        for a in elems if a[i]
+        for b in elems
+        for c in elems
+        if b[j] + c[j] >= pi0.torsion[j]
+    ]
 
 
 # -- the isomorphism search, the oracle for picard_equivalent ------------

@@ -147,10 +147,16 @@ class TestCat:
         assert report.exit_code == 1
         assert report.result is None
 
-    def test_cell_ceiling_exit_code(self, files):
-        report = dispatch(("cat", "homology", "--max-cells", "5", files["s2poset"]))
+    def test_cell_ceiling_exit_code(self, files, monkeypatch):
+        monkeypatch.setenv("COBCAT_MAX_CELLS", "5")
+        report = dispatch(("cat", "homology", files["s2poset"]))
         assert report.exit_code == 2
         assert "5" in report.error
+
+    def test_max_cells_is_unrecognized(self, files):
+        report = dispatch(("cat", "homology", "--max-cells", "5", files["s2poset"]))
+        assert report.exit_code == 1
+        assert report.error.startswith("unrecognized command line")
 
     def test_bad_basepoint(self, files):
         report = dispatch(("cat", "pi1", "--base", "zzz", files["parallel"]))
@@ -180,16 +186,11 @@ class TestCat:
         assert report.exit_code == 1
         assert set(report.payload()) == {"command", "error"}
 
-    @pytest.mark.parametrize("max_cells", ["0", "-3"])
-    def test_non_positive_max_cells_is_bad_input(self, files, max_cells):
-        report = dispatch(("cat", "homology", "--cap", "3", "--max-cells", max_cells, files["terminal"]))
-        assert report.exit_code == 1
-        assert report.error == f"ValueError: --max-cells must be positive, got {max_cells}"
-
-    def test_cap_counts_against_the_cell_ceiling(self, files):
-        report = dispatch(("cat", "homology", "--cap", "10", "--max-cells", "10", files["terminal"]))
+    def test_cap_counts_against_the_cell_ceiling(self, files, monkeypatch):
+        monkeypatch.setenv("COBCAT_MAX_CELLS", "10")
+        report = dispatch(("cat", "homology", "--cap", "10", files["terminal"]))
         assert report.exit_code == 2
-        assert "--cap 10" in report.error and "--max-cells" in report.error
+        assert "--cap 10" in report.error and "COBCAT_MAX_CELLS" in report.error
 
     def test_nerve_layers_are_priced_before_any_is_built(self, files, capsys, monkeypatch):
         # BZ/3 has 2^p cells in degree p; the running total passes 10^6 at
@@ -472,7 +473,8 @@ class TestPicard:
             "h": h,
         }
 
-    def test_associator_check_is_priced(self, tmp_path):
+    def test_associator_check_is_priced(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("COBCAT_MAX_CELLS", raising=False)
         small = write(tmp_path, "z4.json", self.carry_associator(4))
         assert ok("picard", "equivalent", small, small) == {"equivalent": True}
         big = write(tmp_path, "z32.json", self.carry_associator(32))
@@ -480,7 +482,7 @@ class TestPicard:
         report = dispatch(("picard", "equivalent", big, big))
         assert time.perf_counter() - start < 1
         assert report.exit_code == 2
-        assert "32^4 = 1048576 quadruples" in report.error and "16^4 = 65536" in report.error
+        assert "32^4 = 1048576 quadruples" in report.error and "ceiling of 1000000" in report.error
 
     def test_associator_on_a_free_group_is_bad_input(self, tmp_path):
         doc = {
@@ -716,7 +718,7 @@ class TestCategoryLoad:
 
 
 class TestCeilingVariable:
-    @pytest.mark.parametrize("value", ["0", "-2", "abc", ""])
+    @pytest.mark.parametrize("value", ["0", "-2", "abc", "", "1_000", " 7", "+5", "\N{ARABIC-INDIC DIGIT FIVE}"])
     @pytest.mark.parametrize("argv", [["cat", "homology", "--cap", "3"], ["relations"]])
     def test_malformed_value_is_bad_input(self, files, monkeypatch, value, argv):
         monkeypatch.setenv("COBCAT_MAX_CELLS", value)
@@ -726,15 +728,76 @@ class TestCeilingVariable:
             f"ValueError: COBCAT_MAX_CELLS must be a positive integer, got {value!r}"
         )
 
-    def test_flag_overrides_a_malformed_value(self, files, monkeypatch):
-        monkeypatch.setenv("COBCAT_MAX_CELLS", "abc")
-        ok("cat", "homology", "--cap", "3", "--max-cells", "100", files["cyclic3"])
-
     def test_unset_gives_the_default(self, monkeypatch):
         monkeypatch.delenv("COBCAT_MAX_CELLS", raising=False)
         assert limits.max_cells_default() == 10**6
         monkeypatch.setenv("COBCAT_MAX_CELLS", "7")
         assert limits.max_cells_default() == 7
+
+
+# Every priced command, with a ceiling of 10 and the count it refuses.
+PRICED_COMMANDS = {
+    "homology-degrees": (["cat", "homology", "--cap", "10", "{terminal}"], "--cap 10 asks for 11 degrees"),
+    "homology-cells": (["cat", "homology", "--cap", "3", "{s2poset}"], "reach 14 cells at degree 0"),
+    "pi1": (["cat", "pi1", "--base", "c0", "{chain5}"], "140 matrix entries"),
+    "aut": (["localize", "aut", "--base", "c0", "{chain5}"], "140 matrix entries"),
+    "relations": (["relations", "{chain5}"], "140 matrix entries"),
+    "surfaces": (["localize", "surfaces", "--max-chi", "0"], "close 40 cup-cap pairs"),
+    "picard-cob1": (["picard", "cob1", "--max-points", "6"], "close 30 cup-cap pairs"),
+    "frob-eval": (["frob", "eval", "{theory}", "{through2}"], "write 2^4 matrix entries"),
+    "associator": (["picard", "equivalent", "{carry4}", "{carry4}"], "visit 4^4 = 256 quadruples"),
+}
+
+
+class TestOneRefusalForm:
+    @pytest.mark.parametrize("name", sorted(PRICED_COMMANDS))
+    def test_every_budget_refuses_alike(self, files, tmp_path, capsys, monkeypatch, name):
+        paths = dict(
+            files,
+            chain5=write(tmp_path, "chain5.json", to_json(chain_category(5))),
+            through2=write(tmp_path, "through2.json", {"m": 2, "n": 2, "pairs": [[0, 2], [1, 3]]}),
+            carry4=write(tmp_path, "carry4.json", TestPicard.carry_associator(4)),
+        )
+        argv, count = PRICED_COMMANDS[name]
+        monkeypatch.setenv("COBCAT_MAX_CELLS", "10")
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1
+        error = json.loads(out)["error"]
+        assert count in error
+        assert error.endswith("over the ceiling of 10 (COBCAT_MAX_CELLS)")
+
+
+# Each integer option, with a value it answers for.
+INTEGER_OPTIONS = [
+    (["cat", "homology", "--cap", "{}", "{terminal}"], "2"),
+    (["localize", "surfaces", "--max-chi", "{}"], "2"),
+    (["picard", "cob1", "--max-points", "{}"], "2"),
+    (["cob2", "kcheck", "--k", "{}", "{cylinder}"], "0"),
+]
+
+
+class TestStrictIntegers:
+    @pytest.mark.parametrize("argv, plain", INTEGER_OPTIONS, ids=[a[2] for a, _ in INTEGER_OPTIONS])
+    @pytest.mark.parametrize("text", ["1_0", " 2", "+2", "\N{ARABIC-INDIC DIGIT TWO}"])
+    def test_integer_options_are_read_strictly(self, files, argv, plain, text):
+        # int() reads each of these texts; the options read only an
+        # optional minus sign and ASCII digits.
+        report = dispatch([arg.format(text, **files) for arg in argv])
+        assert report.exit_code == 1
+        assert report.error.startswith("unrecognized command line")
+        ok(*(arg.format(plain, **files) for arg in argv))
+
+    @pytest.mark.parametrize("element", ["1_0", "1, 1", "+1", "\N{ARABIC-INDIC DIGIT ONE}"])
+    def test_element_coordinates_are_read_strictly(self, files, element):
+        report = dispatch(("picard", "k", "--input", files["svect"], "--element", element))
+        assert report.exit_code == 1
+        coordinate = element.split(",")[-1]
+        assert report.error == f"ValueError: invalid literal for int() with base 10: {coordinate!r}"
+
+    def test_negative_integers_are_read(self, files):
+        assert ok("picard", "k", "--input", files["svect"], "--element", "-1")["element"] == [1]
+        assert ok("cob2", "kcheck", "--k", "-1", files["cylinder"])["k"] == -1
 
 
 class TestReportShape:
@@ -818,10 +881,11 @@ class TestReportShape:
         assert out.count("\n") == 1
         assert json.loads(out)["error"] == "MemoryError: the run ran out of memory"
 
-    def test_main_exit_codes(self, files, capsys):
+    def test_main_exit_codes(self, files, capsys, monkeypatch):
         assert main(["cob1", "f", files["circle"]]) == 0
         assert main(["nonsense"]) == 1
-        assert main(["cat", "homology", "--max-cells", "5", files["s2poset"]]) == 2
+        monkeypatch.setenv("COBCAT_MAX_CELLS", "5")
+        assert main(["cat", "homology", files["s2poset"]]) == 2
         capsys.readouterr()
 
 

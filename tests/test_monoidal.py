@@ -1,6 +1,7 @@
 import functools
 import itertools
 import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -49,6 +50,8 @@ from cobcat.monoidal import (
 )
 import monoidal_helpers
 from monoidal_helpers import (
+    associator_oracle,
+    carry_cocycle,
     diagonal_picards,
     flag_orbits,
     frobenius_to_json,
@@ -319,6 +322,100 @@ class TestPicardData:
         data = {"pi0": pi0, "pi1": {"rank": 0, "torsion": [4]}, "c": c, "h": []}
         with pytest.raises(ValueError):
             picard_from_json(data)
+
+
+# pi0 of order at most 8, and a few small pi1, free parts included.
+ASSOCIATOR_PI0 = [(), (2,), (3,), (4,), (5,), (6,), (7,), (8,), (2, 2), (2, 4), (2, 2, 2)]
+ASSOCIATOR_PI1 = [(0, (2,)), (0, (3,)), (0, (4,)), (0, (2, 2)), (1, ()), (1, (2,))]
+
+
+@st.composite
+def associator_tables(draw):
+    """A pi0, a pi1 and an associator table: random and sparse, or a carry
+    cocycle; either may then have one entry changed or one added."""
+    pi0 = AbelianInvariants(0, draw(st.sampled_from(ASSOCIATOR_PI0)))
+    pi1 = AbelianInvariants(*draw(st.sampled_from(ASSOCIATOR_PI1)))
+
+    def element(inv):
+        # Coordinates off their canonical residues, so normalization counts.
+        return tuple(draw(st.integers(-3, 3)) for _ in range(inv.rank)) + tuple(
+            draw(st.integers(0, d - 1)) + d * draw(st.integers(-1, 1)) for d in inv.torsion
+        )
+
+    def entry():
+        return element(pi0), element(pi0), element(pi0), element(pi1)
+
+    if pi0.torsion and draw(st.integers(0, 2)):
+        i = draw(st.integers(0, len(pi0.torsion) - 1))
+        j = draw(st.integers(0, len(pi0.torsion) - 1))
+        # g has d_i g = 0: zero on the free part of pi1, and a multiple of
+        # t / gcd(t, d_i) on each torsion coordinate of order t.
+        d = pi0.torsion[i]
+        g = (0,) * pi1.rank + tuple(
+            draw(st.integers(0, t)) * (t // math.gcd(t, d)) for t in pi1.torsion
+        )
+        rows = carry_cocycle(pi0, i, j, g)
+    else:
+        rows = [entry() for _ in range(draw(st.integers(1, 5)))]
+    change = draw(st.sampled_from(["none", "none", "value", "add"]))
+    if change == "value" and rows:
+        k = draw(st.integers(0, len(rows) - 1))
+        rows[k] = rows[k][:3] + (element(pi1),)
+    elif change == "add":
+        rows.append(entry())
+    return pi0, pi1, rows
+
+
+class TestAssociatorCheck:
+    """``PicardData._validate_h`` walks the pentagon on element indices; the
+    oracle walks it on element tuples with group arithmetic."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(associator_tables())
+    def test_agrees_with_the_tuple_loop(self, table):
+        pi0, pi1, rows = table
+        expected = associator_oracle(pi0, pi1, rows)
+        zero = [[(0,) * (pi1.rank + len(pi1.torsion))] * len(pi0.torsion)] * len(pi0.torsion)
+        if expected is None:
+            picard(pi0, pi1, zero, rows)
+        else:
+            with pytest.raises(ValueError) as info:
+                picard(pi0, pi1, zero, rows)
+            assert str(info.value) == expected
+
+    def test_carry_cocycles_are_accepted(self):
+        # The carry cocycle over Z/8 with values in Z/4 and Z/2 x Z/2.
+        pi0 = AbelianInvariants(0, (8,))
+        for pi1, g in [(AbelianInvariants(0, (4,)), (1,)), (AbelianInvariants(0, (2, 2)), (1, 1))]:
+            rows = carry_cocycle(pi0, 0, 0, g)
+            assert associator_oracle(pi0, pi1, rows) is None
+            assert len(picard(pi0, pi1, (((0,) * len(g),),), rows).h_table) == len(rows)
+
+    @pytest.mark.parametrize("order, modulus", [(16, 2), (17, 17)])
+    def test_large_cyclic_tables_load(self, monkeypatch, order, modulus):
+        # 16^4 = 65,536 and 17^4 = 83,521 quadruples, under the default
+        # ceiling; a limit of 16^4 of its own once refused Z/17.
+        monkeypatch.delenv("COBCAT_MAX_CELLS", raising=False)
+        pi0, pi1 = AbelianInvariants(0, (order,)), AbelianInvariants(0, (modulus,))
+        rows = carry_cocycle(pi0, 0, 0, (1,))
+        start = time.perf_counter()
+        p = picard(pi0, pi1, (((0,),),), rows)
+        assert time.perf_counter() - start < 1
+        assert len(p.h_table) == len(rows)
+
+    def test_quadruples_are_priced(self, monkeypatch):
+        # Z/4 has 4^4 = 256 quadruples; the ceiling is inclusive.
+        pi0, pi1 = AbelianInvariants(0, (4,)), AbelianInvariants(0, (2,))
+        rows = carry_cocycle(pi0, 0, 0, (1,))
+        monkeypatch.setenv("COBCAT_MAX_CELLS", "256")
+        picard(pi0, pi1, (((0,),),), rows)
+        monkeypatch.setenv("COBCAT_MAX_CELLS", "255")
+        with pytest.raises(ResourceLimitExceeded) as info:
+            picard(pi0, pi1, (((0,),),), rows)
+        assert str(info.value) == (
+            "the associator cocycle check would visit 4^4 = 256 quadruples, "
+            "over the ceiling of 255 (COBCAT_MAX_CELLS)"
+        )
 
 
 class TestKInvariant:

@@ -41,28 +41,30 @@ class TestCells:
         nerve = build_nerve(parallel_pair(), cap=3)
         assert nerve.cell_counts() == [2, 2, 0, 0]
 
-    def test_cell_ceiling(self):
+    def test_cell_ceiling(self, monkeypatch):
+        monkeypatch.setenv("COBCAT_MAX_CELLS", "20")
         with pytest.raises(ResourceLimitExceeded):
-            build_nerve(cyclic_group_category(5), cap=3, max_cells=20)
+            build_nerve(cyclic_group_category(5), cap=3)
 
     def test_env_ceiling(self, monkeypatch):
         monkeypatch.setenv("COBCAT_MAX_CELLS", "10")
         with pytest.raises(ResourceLimitExceeded):
             build_nerve(cyclic_group_category(5), cap=3)
 
-    def test_ceiling_refuses_before_building_the_layer(self):
+    def test_ceiling_refuses_before_building_the_layer(self, monkeypatch):
         # Degree 4 of BZ/40 would hold 39**4 chains; counting them first
         # refuses without building them.
         # Collection is held off during the timed call, so garbage left by
         # earlier tests is not charged to the refusal.
         cat = cyclic_group_category(40)
+        monkeypatch.setenv("COBCAT_MAX_CELLS", "100000")
         gc.collect()
         was_enabled = gc.isenabled()
         gc.disable()
         try:
             start = time.perf_counter()
             with pytest.raises(ResourceLimitExceeded) as info:
-                build_nerve(cat, cap=4, max_cells=100000)
+                build_nerve(cat, cap=4)
             elapsed = time.perf_counter() - start
         finally:
             if was_enabled:
@@ -71,23 +73,26 @@ class TestCells:
         message = str(info.value)
         assert str(1 + 39 + 39**2 + 39**3 + 39**4) in message
         assert "100000" in message
-        assert "--max-cells" in message and "COBCAT_MAX_CELLS" in message
+        assert message.endswith("over the ceiling of 100000 (COBCAT_MAX_CELLS)")
 
-    def test_ceiling_is_inclusive(self):
+    def test_ceiling_is_inclusive(self, monkeypatch):
         # BZ/5 at cap 3 has 1 + 4 + 16 + 64 = 85 cells.
-        assert sum(build_nerve(cyclic_group_category(5), 3, max_cells=85).cell_counts()) == 85
+        monkeypatch.setenv("COBCAT_MAX_CELLS", "85")
+        assert sum(build_nerve(cyclic_group_category(5), 3).cell_counts()) == 85
+        monkeypatch.setenv("COBCAT_MAX_CELLS", "84")
         with pytest.raises(ResourceLimitExceeded, match="85 cells at degree 3"):
-            build_nerve(cyclic_group_category(5), 3, max_cells=84)
+            build_nerve(cyclic_group_category(5), 3)
 
-    def test_cap_counts_against_the_ceiling(self):
+    def test_cap_counts_against_the_ceiling(self, monkeypatch):
         # The one-object category has no cell above degree 0, yet each of
         # the cap + 1 degrees is reported, so each counts.
-        assert build_nerve(terminal_category(), 9, max_cells=10).cell_counts() == [1] + [0] * 9
+        monkeypatch.setenv("COBCAT_MAX_CELLS", "10")
+        assert build_nerve(terminal_category(), 9).cell_counts() == [1] + [0] * 9
         with pytest.raises(ResourceLimitExceeded) as info:
-            build_nerve(terminal_category(), 10, max_cells=10)
+            build_nerve(terminal_category(), 10)
         message = str(info.value)
         assert "--cap 10" in message and "ceiling of 10 " in message
-        assert "--max-cells / COBCAT_MAX_CELLS" in message
+        assert message == "--cap 10 asks for 11 degrees, over the ceiling of 10 (COBCAT_MAX_CELLS)"
 
 
 class TestHomology:
@@ -152,7 +157,7 @@ class TestHomology:
         assert time.perf_counter() - start < 1
         assert groups == [Z, AbelianInvariants(0, (30,)), ZERO, AbelianInvariants(0, (30,))]
 
-    def test_bz6_squared_kunneth(self):
+    def test_bz6_squared_kunneth(self, monkeypatch):
         # Künneth: H_1 is the sum of the factors' H_1, and H_2 is
         # H_1(BZ/6) ⊗ H_1(BZ/6) = Z/6, as H_2(BZ/6) = 0.
         cat = product(cyclic_group_category(6), cyclic_group_category(6))
@@ -162,8 +167,9 @@ class TestHomology:
             AbelianInvariants(0, (6,)),
         ]
         # The path count, not the critical count, prices the nerve.
+        monkeypatch.setenv("COBCAT_MAX_CELLS", str(10**6))
         with pytest.raises(ResourceLimitExceeded, match="1544761 cells at degree 4"):
-            build_nerve(cat, cap=4, max_cells=10**6)
+            build_nerve(cat, cap=4)
 
     def test_bz16_cap4(self):
         # 69,905 cells: eliminating pivots across every full boundary took
@@ -276,12 +282,9 @@ class TestBrownMatching:
         # The cap is lowered until the nerve has at most 2,000 cells.  Below
         # the cap, the chains homology lists are the matching's critical
         # cells; at the cap a redundant cell's partner is not built.
-        while True:
-            try:
-                nerve = build_nerve(cat, cap, max_cells=2000)
-                break
-            except ResourceLimitExceeded:
-                cap -= 1
+        while sum(build_nerve(cat, cap).cell_counts()) > 2000:
+            cap -= 1
+        nerve = build_nerve(cat, cap)
         critical = check_matching(nerve, brown_matching(nerve))
         assert anick_counts(cat, cap)[:cap] == critical[:cap]
         expected = oracle_homology(nerve)
