@@ -43,9 +43,23 @@ class RunReport:
         return doc
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises argparse's message, for ``dispatch`` to report; subparsers share the class."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
+def _integer(text: str) -> int:
+    try:
+        return parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="cobcat",
         description="Exact invariants of finite categories, diagram "
         "categories, and surface cobordisms.",
@@ -55,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cat = sub.add_parser("cat", help="finite categories and their nerves")
     cat_sub = cat.add_subparsers(dest="subcommand", required=True)
     hom = cat_sub.add_parser("homology", help="integer homology of the nerve")
-    hom.add_argument("--cap", type=parse_int, default=3, help="degrees computed: H_0..H_{cap-1}")
+    hom.add_argument("--cap", type=_integer, default=3, help="degrees computed: H_0..H_{cap-1}")
     hom.add_argument("path", help="category JSON file")
     pi1p = cat_sub.add_parser("pi1", help="fundamental group presentation")
     pi1p.add_argument("--base", required=True, help="basepoint object")
@@ -71,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     aut.add_argument("--base", required=True, help="basepoint object")
     aut.add_argument("path")
     surf = loc_sub.add_parser("surfaces", help="surface relation engine")
-    surf.add_argument("--max-chi", type=parse_int, default=4, dest="max_chi",
+    surf.add_argument("--max-chi", type=_integer, default=4, dest="max_chi",
                       help="complexity bound: classes with chi >= -N")
 
     c1 = sub.add_parser("cob1", help="planar diagram words")
@@ -94,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cls2 = c2_sub.add_parser("class", help="connected-class factorization of a closed surface")
     cls2.add_argument("path")
     kch = c2_sub.add_parser("kcheck", help="connectivity of the outgoing boundary")
-    kch.add_argument("--k", type=parse_int, default=0)
+    kch.add_argument("--k", type=_integer, default=0)
     kch.add_argument("path")
 
     pic = sub.add_parser("picard", help="skeletal symmetric monoidal groupoids")
@@ -106,7 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
     peq.add_argument("first")
     peq.add_argument("second")
     pc1 = pic_sub.add_parser("cob1", help="derived Picard data of the 1d localization")
-    pc1.add_argument("--max-points", type=parse_int, default=8, dest="max_points")
+    pc1.add_argument("--max-points", type=_integer, default=8, dest="max_points")
 
     fr = sub.add_parser("frob", help="field theories from a symmetric pairing")
     fr_sub = fr.add_subparsers(dest="subcommand", required=True)
@@ -139,7 +153,9 @@ def _run_cat(args) -> object:
     c = fincat.from_json(_load(args.path))
     if args.subcommand == "homology":
         groups = nerve.homology(nerve.build_nerve(c, args.cap))
-        return {"H": [g.to_json() for g in groups]}
+        # The degrees above the last cell share one zero group object: serialize each object once.
+        docs = {id(g): g.to_json() for g in {id(g): g for g in groups}.values()}
+        return {"H": [docs[id(g)] for g in groups]}
     if args.subcommand == "pi1":
         p = nerve.fundamental_group(c, args.base)
         return {
@@ -266,28 +282,19 @@ def _run_frob(args) -> object:
 def _run_relations(args) -> object:
     from . import fincat, localize, nerve
     c = fincat.from_json(_load(args.path))
-    if args.base is not None:
-        bases = [args.base]
-    else:
-        bases = [component[0] for component in nerve.pi0(c)]
-    components = [sorted(nerve.component_objects(c, base)) for base in bases]
+    bases = [args.base] if args.base is not None else [names[0] for names in nerve.pi0(c)]
+    chosen = {x for base in bases for x in c.components[c.object_index(base)]}
+    # Σ |hom(x,y)|²·|hom(y,x)|² over the pairs of the chosen components; a
+    # pair with no arrow x -> y adds nothing, so only hom-sets are walked.
     homs = Counter(zip(c.src, c.tgt))
-    checked = sum(
-        homs[y, x] ** 2 * homs[x, y] ** 2
-        for objects in components
-        for x in objects
-        for y in objects
-    )
+    checked = sum(n**2 * homs[y, x] ** 2 for (x, y), n in homs.items() if x in chosen)
     # The class map is additive on every composable pair, so every square
     # word a.b^-1.d.c^-1 dies; a pair that is not is a failed self-check.
     for base in bases:
         _, classes, _ = localize.abelian_loop_classes(c, base)
-        arrows = [f for f in classes if not c.is_identity(f)]
-        for f in arrows:
-            for g in arrows:
-                if c.tgt[f] == c.src[g] and any(
-                    localize.word_class(classes, localize.relation_word(c, f, g))
-                ):
+        for f in [f for f in classes if not c.is_identity(f)]:
+            for g in c.arrows[c.tgt[f]]:
+                if any(localize.word_class(classes, localize.relation_word(c, f, g))):
                     raise AssertionError(
                         f"class of {c.morphisms[c.compose(f, g)]} is not the sum "
                         f"of the classes of {c.morphisms[f]} and {c.morphisms[g]}"
@@ -313,16 +320,9 @@ def dispatch(argv) -> RunReport:
     parser = _build_parser()
     try:
         args = parser.parse_args(list(argv))
-    except SystemExit as exc:
-        if exc.code == 0:
-            raise
-        return RunReport(
-            command,
-            None,
-            "unrecognized command line; " + parser.format_usage().strip(),
-            1,
-            time.perf_counter() - start,
-        )
+    except argparse.ArgumentError as exc:
+        error = f"unrecognized command line; {exc}; " + parser.format_usage().strip()
+        return RunReport(command, None, error, 1, time.perf_counter() - start)
     try:
         result = _HANDLERS[args.command](args)
         error, code = None, 0
@@ -343,7 +343,7 @@ def dispatch(argv) -> RunReport:
 
 def main(argv=None) -> int:
     report = dispatch(sys.argv[1:] if argv is None else argv)
-    print(json.dumps(report.payload(), sort_keys=True))
+    print(json.dumps(report.payload(), sort_keys=True, check_circular=False))
     print(f"elapsed {report.seconds:.3f}s", file=sys.stderr)
     return report.exit_code
 

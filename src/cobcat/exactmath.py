@@ -231,7 +231,9 @@ def _smith_loop(a: list[list[int]], rows: int, cols: int) -> list[int]:
                 pos = _find_pivot(a, t, rows, cols)
                 continue
             # Pivot must divide every remaining entry; if not, fold the
-            # first offending row in and keep reducing.
+            # first offending row in and keep reducing.  A unit divides all.
+            if pivot == 1:
+                break
             for i in range(t + 1, rows):
                 if any(a[i][j] % pivot for j in range(t + 1, cols)):
                     a[t] = [x + y for x, y in zip(at, a[i])]

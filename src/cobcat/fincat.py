@@ -5,7 +5,8 @@ identity for each object, and a total composition table on composable pairs.
 Object and morphism ids are opaque strings at the interface; internally
 everything is indexed densely.  ``validate_category`` checks the axioms
 exhaustively and returns a report of human-readable issues, empty when the
-category is lawful.
+category is lawful.  It walks the raw tables, whose identities it has yet
+to check; every other walk reads ``FinCat.arrows`` and ``FinCat.components``.
 
 The JSON wire format::
 
@@ -20,9 +21,21 @@ Every composable pair must appear exactly once in "compose".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .exactmath import json_array
+from .exactmath import UnionFind, json_array
+
+
+class _cached_property(cached_property):
+    """Caches through ``object.__setattr__``: the base class writes ``__dict__``,
+    which slows every later attribute read on CPython 3.11 and 3.12."""
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        object.__setattr__(obj, self.attrname, value := self.func(obj))
+        return value
 
 
 @dataclass(frozen=True)
@@ -36,6 +49,7 @@ class FinCat:
 
     Construction does not validate the axioms; call
     :func:`validate_category`, which builders and JSON loading do for you.
+    ``arrows``, ``components`` and ``object_index``'s map are cached once, not fields.
     """
 
     objects: tuple[str, ...]
@@ -47,15 +61,13 @@ class FinCat:
 
     def object_index(self, obj: str) -> int:
         try:
-            return self.objects.index(obj)
-        except ValueError:
+            return self._object_ids[obj]
+        except KeyError:
             raise ValueError(f"unknown object {obj!r}") from None
 
-    def morphism_index(self, mor: str) -> int:
-        try:
-            return self.morphisms.index(mor)
-        except ValueError:
-            raise ValueError(f"unknown morphism {mor!r}") from None
+    @_cached_property
+    def _object_ids(self) -> dict[str, int]:
+        return {o: i for i, o in enumerate(self.objects)}
 
     def compose(self, f: int, g: int) -> int:
         """Index of ``g after f`` for ``f: x -> y``, ``g: y -> z``."""
@@ -70,12 +82,23 @@ class FinCat:
     def is_identity(self, f: int) -> bool:
         return self.identity[self.src[f]] == f
 
-    def hom(self, x: int, y: int) -> list[int]:
-        return [
-            f
-            for f in range(len(self.morphisms))
-            if self.src[f] == x and self.tgt[f] == y
-        ]
+    @_cached_property
+    def arrows(self) -> tuple[tuple[int, ...], ...]:
+        """``arrows[x]``: the non-identities out of x in index order, the order of relators."""
+        out: list[list[int]] = [[] for _ in self.objects]
+        for f, x in enumerate(self.src):
+            if self.identity[x] != f:
+                out[x].append(f)
+        return tuple(map(tuple, out))
+
+    @_cached_property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """``components[x]``: x's connected component, one sorted tuple shared by its objects."""
+        uf = UnionFind(len(self.objects))
+        for x, y in zip(self.src, self.tgt):
+            uf.union(x, y)
+        of = {x: group for group in map(tuple, uf.groups()) for x in group}
+        return tuple(of[x] for x in range(len(self.objects)))
 
 
 def build_category(
@@ -198,17 +221,13 @@ def is_groupoid(c: FinCat) -> tuple[bool, dict[str, str] | None]:
     """Whether every morphism is invertible; returns the inverse table if so."""
     inverses: dict[str, str] = {}
     for f in range(len(c.morphisms)):
-        inv = None
-        for g in c.hom(c.tgt[f], c.src[f]):
-            if (
-                c.table[(f, g)] == c.identity[c.src[f]]
-                and c.table[(g, f)] == c.identity[c.tgt[f]]
-            ):
-                inv = g
+        x, y = c.src[f], c.tgt[f]
+        for g in (c.identity[y], *c.arrows[y]):
+            if c.tgt[g] == x and c.table[f, g] == c.identity[x] and c.table[g, f] == c.identity[y]:
+                inverses[c.morphisms[f]] = c.morphisms[g]
                 break
-        if inv is None:
+        else:
             return False, None
-        inverses[c.morphisms[f]] = c.morphisms[inv]
     return True, inverses
 
 

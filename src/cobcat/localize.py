@@ -51,21 +51,20 @@ def abelian_loop_classes(
 
     Returns ``(invariants, classes, presentation)`` where ``classes[f]`` is
     the coordinate vector of morphism f transported to the basepoint
-    (identities are zero) and ``presentation`` is the one of
-    ``nerve.fundamental_group`` they are read from.  That function prices
+    (identities are zero), in index order over the basepoint's component,
+    and ``presentation`` is the one of ``nerve.fundamental_group`` they are
+    read from.  That function prices
     the presentation's dense relator matrix as it builds it, so nothing is
     reduced past the cell ceiling.
     """
-    from .nerve import component_objects, fundamental_group
+    from .nerve import fundamental_group
     p = fundamental_group(c, basepoint)
     invariants, gen_classes = quotient_group(p.exponent_matrix(), len(p.generators))
     zero = [(0, mod) for _, mod in gen_classes[0]] if gen_classes else []
-    classes: dict[int, list[tuple[int, int]]] = {}
     letter = {name: i for i, name in enumerate(p.generators)}
-    comp = component_objects(c, basepoint)
-    for f in range(len(c.morphisms)):
-        if c.src[f] not in comp:
-            continue
+    component = c.components[c.object_index(basepoint)]
+    classes: dict[int, list[tuple[int, int]]] = {}
+    for f in sorted(f for x in component for f in (c.identity[x], *c.arrows[x])):
         name = c.morphisms[f]
         classes[f] = gen_classes[letter[name]] if name in letter else list(zero)
     return invariants, classes, p

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .exactmath import AbelianInvariants, GroupPresentation, IntMatrix, UnionFind, smith_diagonal
+from .exactmath import AbelianInvariants, GroupPresentation, IntMatrix, smith_diagonal
 from .fincat import FinCat
 from .limits import check_count
 
@@ -57,10 +57,9 @@ class NerveComplex:
         c = self.category
         cells = [tuple(range(len(c.objects)))]
         cells.append(tuple((f,) for f in range(len(c.morphisms)) if not c.is_identity(f)))
-        by_source = [[f for (f,) in cells[1] if c.src[f] == x] for x in cells[0]]
         for p in range(2, self.cap + 1):
             cells.append(tuple(
-                chain + (g,) for chain in cells[p - 1] for g in by_source[c.tgt[chain[-1]]]
+                chain + (g,) for chain in cells[p - 1] for g in c.arrows[c.tgt[chain[-1]]]
             ))
         return tuple(cells)
 
@@ -106,7 +105,6 @@ def build_nerve(c: FinCat, cap: int = DEFAULT_CAP) -> NerveComplex:
     if cap < 1:
         raise ValueError("cap must be at least 1")
     check_count(cap + 1, f"--cap {cap} asks for {cap + 1} degrees")
-    non_identities = [f for f in range(len(c.morphisms)) if not c.is_identity(f)]
     # Chains of degree p ending at each object, v_p[y] = sum of v_{p-1}[x]
     # over the non-identities x -> y; above an empty degree all are empty.
     ends = [1] * len(c.objects)
@@ -114,8 +112,9 @@ def build_nerve(c: FinCat, cap: int = DEFAULT_CAP) -> NerveComplex:
     for p in range(cap + 1):
         if p:
             ends, last = [0] * len(ends), ends
-            for f in non_identities:
-                ends[c.tgt[f]] += last[c.src[f]]
+            for x, out in enumerate(c.arrows):
+                for f in out:
+                    ends[c.tgt[f]] += last[x]
             counts.append(sum(ends))
             total += counts[-1]
         check_count(total, f"nerve would reach {total} cells at degree {p}")
@@ -229,9 +228,6 @@ def _collapsing_scheme(c: FinCat, cap: int):
         splits[pair] = uv
         return uv
 
-    by_source: list[list[int]] = [[] for _ in c.objects]
-    for y in sorted(nf):
-        by_source[c.src[y]].append(y)
     chains = [tuple(range(len(c.objects))), tuple((x,) for x in sorted(nf) if len(nf[x]) == 1)]
     successors: dict[int, list[int]] = {}
     while len(chains) <= cap and chains[-1]:
@@ -239,7 +235,7 @@ def _collapsing_scheme(c: FinCat, cap: int):
         for chain in chains[-1]:
             x = chain[-1]
             if x not in successors:
-                successors[x] = [y for y in by_source[tgt[x]] if split((x, y)) == ()]
+                successors[x] = [y for y in c.arrows[tgt[x]] if split((x, y)) == ()]
             layer.extend(chain + (y,) for y in successors[x])
         chains.append(tuple(layer))
 
@@ -343,29 +339,21 @@ def _combine(proj: dict, col: dict, skip, scale: int) -> dict[int, int]:
     return {k: v for k, v in out.items() if v}
 
 
-def _components(c: FinCat) -> list[list[int]]:
-    uf = UnionFind(len(c.objects))
-    for f in range(len(c.morphisms)):
-        uf.union(c.src[f], c.tgt[f])
-    return uf.groups()
-
-
 def pi0(c: FinCat) -> list[list[str]]:
     """Connected components of the category, as sorted object-id classes."""
-    return sorted(
-        sorted(c.objects[i] for i in group) for group in _components(c)
-    )
+    groups = (group for x, group in enumerate(c.components) if group[0] == x)
+    return sorted(sorted(c.objects[i] for i in group) for group in groups)
 
 
 def component_objects(c: FinCat, basepoint: str) -> set[int]:
-    base = c.object_index(basepoint)
-    return next(set(group) for group in _components(c) if base in group)
+    return set(c.components[c.object_index(basepoint)])
 
 
 def fundamental_group(c: FinCat, basepoint: str) -> GroupPresentation:
     """Edge-path presentation of pi_1 of the nerve at the basepoint.
 
-    Generators are the non-identity morphisms of the basepoint's component.
+    Generators are the non-identity morphisms of the basepoint's component,
+    in index order, read from ``FinCat.components`` and ``FinCat.arrows``.
     Relators: each spanning-tree edge, and for every composable pair
     ``f: x -> y``, ``g: y -> z`` of non-identities the word ``g f h^-1``
     where ``h = g after f`` (the ``h`` letter is dropped when the composite
@@ -374,36 +362,27 @@ def fundamental_group(c: FinCat, basepoint: str) -> GroupPresentation:
     the cell ceiling here, before anything reduces it, so every command that
     reads the presentation is priced by this one check.
     """
-    component = component_objects(c, basepoint)
-    gens = [
-        f
-        for f in range(len(c.morphisms))
-        if not c.is_identity(f) and c.src[f] in component
-    ]
+    base = c.object_index(basepoint)
+    component = c.components[base]
+    gens = sorted(f for x in component for f in c.arrows[x])
     gen_letter = {f: i + 1 for i, f in enumerate(gens)}
 
     # Breadth-first spanning tree, scanning morphisms in index order so the
     # result is deterministic.  A morphism joins the tree only when exactly
-    # one of its ends has been visited, so an endomorphism never does.
-    base = c.object_index(basepoint)
+    # one of its ends has been visited, so an endomorphism never does.  The
+    # component is connected, so every pass adds an edge until it is covered.
     visited = {base}
     tree_edges: set[int] = set()
-    grew = True
-    while grew:
-        grew = False
+    while len(visited) < len(component):
         for f in gens:
             x, y = c.src[f], c.tgt[f]
             if (x in visited) != (y in visited):
                 tree_edges.add(f)
                 visited.update((x, y))
-                grew = True
 
-    out: list[list[int]] = [[] for _ in c.objects]
-    for g in gens:
-        out[c.src[g]].append(g)
     relators: list[tuple[int, ...]] = [(gen_letter[f],) for f in sorted(tree_edges)]
     for f in gens:
-        for g in out[c.tgt[f]]:
+        for g in c.arrows[c.tgt[f]]:
             h = c.compose(f, g)
             if c.is_identity(h):
                 relators.append((gen_letter[g], gen_letter[f]))

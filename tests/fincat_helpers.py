@@ -1,8 +1,9 @@
 """Constructions on finite categories that only the tests build: products,
 coproducts, functors, natural transformations, the wire format written
-back out, and the cyclic groups as one-object categories.  Also the
-axiom check over all pairs and triples of morphisms, the oracle for
-``validate_category``, which walks only the composable ones."""
+back out, the cyclic groups as one-object categories, and hom-sets by a
+scan over all morphisms.  Also the axiom check over all pairs and triples
+of morphisms, the oracle for ``validate_category``, which walks only the
+composable ones."""
 
 from __future__ import annotations
 
@@ -98,7 +99,7 @@ def check_functor(fun: Functor) -> list[str]:
         return issues
     omap = {c.object_index(o): d.object_index(v) for o, v in fun.object_map.items()}
     mmap = {
-        c.morphism_index(m): d.morphism_index(v)
+        c.morphisms.index(m): d.morphisms.index(v)
         for m, v in fun.morphism_map.items()
     }
     for f in range(len(c.morphisms)):
@@ -141,7 +142,7 @@ def check_nat_trans(nt: NatTrans) -> list[str]:
         if name not in d.morphisms:
             issues.append(f"component at {obj!r} is not a target morphism")
             continue
-        k = d.morphism_index(name)
+        k = d.morphisms.index(name)
         x = c.object_index(obj)
         if d.src[k] != d.object_index(fun.object_map[obj]) or d.tgt[
             k
@@ -152,8 +153,8 @@ def check_nat_trans(nt: NatTrans) -> list[str]:
         return issues
     for f in range(len(c.morphisms)):
         x, y = c.src[f], c.tgt[f]
-        ff = d.morphism_index(fun.morphism_map[c.morphisms[f]])
-        gf = d.morphism_index(gun.morphism_map[c.morphisms[f]])
+        ff = d.morphisms.index(fun.morphism_map[c.morphisms[f]])
+        gf = d.morphisms.index(gun.morphism_map[c.morphisms[f]])
         left = d.table[(ff, comp[y])]
         right = d.table[(comp[x], gf)]
         if left != right:
@@ -177,6 +178,11 @@ def to_json(c: FinCat) -> dict:
             for (f, g), h in c.table.items()
         ),
     }
+
+
+def hom(c: FinCat, x: int, y: int) -> list[int]:
+    """The morphisms x -> y, in index order, by a scan over all of them."""
+    return [f for f in range(len(c.morphisms)) if c.src[f] == x and c.tgt[f] == y]
 
 
 def cyclic_group_category(n: int) -> FinCat:

@@ -55,7 +55,7 @@ from cobcat.localize import (
 )
 from cobcat.nerve import component_objects, fundamental_group
 from exactmath_helpers import free_reduce
-from fincat_helpers import Functor, check_functor
+from fincat_helpers import Functor, check_functor, hom
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,7 @@ def brute_force_relations(c: FinCat, bases: Sequence[str]) -> tuple[int, int]:
         objects = sorted(component_objects(c, base))
         for x in objects:
             for y in objects:
-                forth, back = c.hom(y, x), c.hom(x, y)
+                forth, back = hom(c, y, x), hom(c, x, y)
                 for ws in itertools.product(forth, forth, back, back):
                     checked += 1
                     word = square_word(RelationInstance(c, *ws))
@@ -467,11 +467,11 @@ def induced_automorphism_map(
     }  # tree edges present as single-letter relators
 
     mmap = {
-        c.morphism_index(m): d.morphism_index(v)
+        c.morphisms.index(m): d.morphisms.index(v)
         for m, v in fun.morphism_map.items()
     }
     inv = {
-        f: d.morphism_index(inverse_names[d.morphisms[f]])
+        f: d.morphisms.index(inverse_names[d.morphisms[f]])
         for f in range(len(d.morphisms))
     }
 
@@ -483,7 +483,7 @@ def induced_automorphism_map(
     edges = []
     for name, idx in gen_index.items():
         if idx in tree:
-            f = c.morphism_index(name)
+            f = c.morphisms.index(name)
             edges.append(f)
     changed = True
     while changed:
@@ -500,7 +500,7 @@ def induced_automorphism_map(
     images: dict[str, str] = {}
     image_idx: dict[int, int] = {}
     for name in p.generators:
-        f = c.morphism_index(name)
+        f = c.morphisms.index(name)
         y, z = c.src[f], c.tgt[f]
         loop = d.compose(d.compose(path[y], mmap[f]), inv[path[z]])
         images[name] = d.morphisms[loop]

@@ -1,14 +1,25 @@
-"""Oracles for nerve homology, and the checks a Morse matching must pass.
+"""Oracles for nerve homology, and the checks a Morse matching must pass;
+also the component scan that ``FinCat.components`` replaced.
 
-All of them read the enumerated nerve, ``NerveComplex.cells`` and
+The homology oracles read the enumerated nerve, ``NerveComplex.cells`` and
 ``columns``: the full-boundary path, and Brown's matching by cell index with
 its projection, the path :func:`cobcat.nerve.homology` replaced.
 """
 
 from __future__ import annotations
 
-from cobcat.exactmath import AbelianInvariants, smith_diagonal
+from cobcat.exactmath import AbelianInvariants, UnionFind, smith_diagonal
+from cobcat.fincat import FinCat
 from cobcat.nerve import NerveComplex, _normal_forms
+
+
+def union_find_components(c: FinCat) -> list[list[int]]:
+    """The connected components by a union over every morphism, identities
+    included: the oracle for ``FinCat.components``."""
+    uf = UnionFind(len(c.objects))
+    for f in range(len(c.morphisms)):
+        uf.union(c.src[f], c.tgt[f])
+    return uf.groups()
 
 
 def oracle_homology(n: NerveComplex) -> list[AbelianInvariants]:

@@ -247,7 +247,7 @@ class TestCat:
             # [r1|r2] are projected through them.  Unchecked, the first flaw
             # would answer H_1 = Z, not Z/3.
             chains, classify = real(c, cap)
-            r1, r2 = (c.morphism_index(f"r{k}") for k in (1, 2))
+            r1, r2 = (c.morphisms.index(f"r{k}") for k in (1, 2))
             kinds = {
                 "partner not collapsible": {(r2,): (1, (r1, r2))},
                 "non-unit pair": {(r2,): (1, (r2, r2)), (r2, r2): (-1, (r2,))},
@@ -671,6 +671,60 @@ class TestRelations:
         assert result == {"checked": 31**4, "components": 1, "nonvanishing": 0}
 
 
+def sparse_category(n: int, arrows) -> fincat.FinCat:
+    """Objects o0..o(n-1) and the given (src, tgt) index pairs as arrows,
+    no two of them composable."""
+    objects = [f"o{i}" for i in range(n)]
+    ids = [(f"id_{o}", o, o) for o in objects]
+    named = [(f"a{k}", objects[x], objects[y]) for k, (x, y) in enumerate(arrows)]
+    compose = [(i, i, i) for i, _, _ in ids]
+    for a, x, y in named:
+        compose += [(f"id_{x}", a, a), (a, f"id_{y}", a)]
+    return fincat.build_category(objects, ids + named, {o: f"id_{o}" for o in objects}, compose)
+
+
+def zigzag_category(n: int) -> fincat.FinCat:
+    """The path o0 -> o1 <- o2 -> o3 ...: n - 1 arrows, none composable."""
+    return sparse_category(n, [(i, i + 1) if i % 2 == 0 else (i + 1, i) for i in range(n - 1)])
+
+
+class TestManyObjects:
+    """Many objects and few arrows: no step is quadratic in the objects or
+    in the components."""
+
+    def test_relations_on_a_discrete_category(self, tmp_path, monkeypatch):
+        # 2,000 components: each is found once, not rebuilt per basepoint.
+        monkeypatch.delenv("COBCAT_MAX_CELLS", raising=False)
+        path = write(tmp_path, "discrete.json", to_json(sparse_category(2000, [])))
+        start = time.perf_counter()
+        result = ok("relations", path)
+        assert time.perf_counter() - start < 2
+        assert result == {"checked": 2000, "components": 2000, "nonvanishing": 0}
+
+    def test_localize_aut_on_a_zigzag(self, tmp_path, monkeypatch):
+        # 999 one-letter relators over 999 generators, 998,001 entries under
+        # the ceiling: every Smith pivot is a unit.
+        monkeypatch.delenv("COBCAT_MAX_CELLS", raising=False)
+        path = write(tmp_path, "zigzag.json", to_json(zigzag_category(1000)))
+        start = time.perf_counter()
+        result = ok("localize", "aut", "--base", "o0", path)
+        assert time.perf_counter() - start < 3
+        assert result["abelianized"] == {"rank": 0, "torsion": []}
+        assert len(result["generators"]) == len(result["relators"]) == 999
+
+    @pytest.mark.parametrize("n", [2000, 4000])
+    def test_relations_on_a_long_zigzag_is_refused_fast(self, tmp_path, capsys, monkeypatch, n):
+        # One component of n objects: ``checked`` walks its 2n - 1 hom-sets,
+        # not its n² object pairs, before the presentation price refuses.
+        monkeypatch.delenv("COBCAT_MAX_CELLS", raising=False)
+        path = write(tmp_path, "zigzag.json", to_json(zigzag_category(n)))
+        start = time.perf_counter()
+        assert main(["relations", path]) == 2
+        assert time.perf_counter() - start < 1.5
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert f"{n - 1} relators over {n - 1} generators, {(n - 1) ** 2} matrix entries" in error
+
+
 def chain_category(n: int) -> fincat.FinCat:
     return fincat.poset_category([f"c{i}" for i in range(n)], lambda a, b: int(a[1:]) <= int(b[1:]))
 
@@ -785,7 +839,7 @@ class TestStrictIntegers:
         # optional minus sign and ASCII digits.
         report = dispatch([arg.format(text, **files) for arg in argv])
         assert report.exit_code == 1
-        assert report.error.startswith("unrecognized command line")
+        assert report.error.startswith(f"unrecognized command line; argument {argv[2]}: invalid integer {text!r}; usage: ")
         ok(*(arg.format(plain, **files) for arg in argv))
 
     @pytest.mark.parametrize("element", ["1_0", "1, 1", "+1", "\N{ARABIC-INDIC DIGIT ONE}"])

@@ -24,6 +24,7 @@ from fincat_helpers import (
     check_nat_trans,
     cyclic_group_category,
     disjoint_union,
+    hom,
     product,
     to_json,
     validate_category_all_pairs,
@@ -305,7 +306,7 @@ class TestPosetBuilders:
         cat = poset_category(["x", "y"], lambda a, b: a <= b)
         for x in range(len(cat.objects)):
             for y in range(len(cat.objects)):
-                assert len(cat.hom(x, y)) <= 1
+                assert len(hom(cat, x, y)) <= 1
 
     def test_random_relabeling_stays_lawful(self):
         rng = random.Random(5)

@@ -108,8 +108,8 @@ class TestLocalize:
 class TestRelationInstance:
     def test_validation(self):
         c = parallel_pair()
-        f, g = c.morphism_index("f"), c.morphism_index("g")
-        id_a = c.morphism_index("id_a")
+        f, g = c.morphisms.index("f"), c.morphisms.index("g")
+        id_a = c.morphisms.index("id_a")
         with pytest.raises(ValueError):
             RelationInstance(c, f, id_a, f, f)  # not parallel
         with pytest.raises(ValueError):

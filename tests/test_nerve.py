@@ -21,7 +21,13 @@ from cobcat.limits import ResourceLimitExceeded
 from cobcat.nerve import build_nerve, fundamental_group, homology, pi0
 from exactmath_helpers import simplify_presentation
 from fincat_helpers import cyclic_group_category, disjoint_union, product, to_json
-from nerve_helpers import brown_matching, check_matching, oracle_homology, projected_homology
+from nerve_helpers import (
+    brown_matching,
+    check_matching,
+    oracle_homology,
+    projected_homology,
+    union_find_components,
+)
 
 Z = AbelianInvariants(1, ())
 ZERO = AbelianInvariants(0, ())
@@ -310,7 +316,7 @@ class TestBrownMatching:
         # first letter.  [r1|r1] is collapsible onto [r2], and [r1|r2] is an
         # Anick chain (r1.r1.r1 is an identity), so it is critical.
         nerve = build_nerve(cyclic_group_category(3), 3)
-        r1, r2 = (nerve.category.morphism_index(f"r{k}") for k in (1, 2))
+        r1, r2 = (nerve.category.morphisms.index(f"r{k}") for k in (1, 2))
         match = brown_matching(nerve)
         assert match[1] == {cell_index(nerve, 1, (r2,)): cell_index(nerve, 2, (r1, r1))}
         assert match[2] == {
@@ -326,6 +332,27 @@ class TestBrownMatching:
             assert classify((r2, x)) == (1, (r1, r1, x))
             assert classify((r1, r1, x)) == (-1, (r2, x))
         assert classify((r1, r2)) == (0, None)
+
+
+class TestCachedAdjacency:
+    @settings(max_examples=100, deadline=None)
+    @given(small_categories())
+    def test_arrows_and_components_match_the_scans(self, cat):
+        morphisms = range(len(cat.morphisms))
+        assert cat.arrows == tuple(
+            tuple(f for f in morphisms if cat.src[f] == x and not cat.is_identity(f))
+            for x in range(len(cat.objects))
+        )
+        groups = union_find_components(cat)
+        assert [list(g) for x, g in enumerate(cat.components) if g[0] == x] == groups
+        for group in groups:
+            for x in group:
+                assert cat.components[x] == tuple(group)
+
+    def test_computed_once(self):
+        cat = disjoint_union(parallel_pair(), cyclic_group_category(3))
+        assert cat.arrows is cat.arrows and cat.components is cat.components
+        assert cat.components == ((0, 1), (0, 1), (2,))
 
 
 class TestPi0:
