@@ -7,19 +7,21 @@ files.  Exit codes: 0 on success, 1 on a domain error (bad input, unknown
 command), 2 when a resource ceiling is exceeded, 3 when one of the
 program's own self-checks fails (an internal error).
 
-Each handler imports the modules it runs when it is called, so one
-invocation compiles only those: ``cat validate`` loads no cobordism code.
+``_TABLE`` holds every command line: it is read as argparse read it, refused
+with argparse's Python 3.11 text on every Python, and ``-h`` is answered as
+JSON.  Each input is read once as bytes, with text mode's newlines.  Each
+handler imports the modules it runs: ``cat validate`` loads no cobordism code.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
+import re
 import sys
 import time
 from collections import Counter
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from .limits import ResourceLimitExceeded, parse_int
 
@@ -35,117 +37,142 @@ class RunReport:
     seconds: float
 
     def payload(self) -> dict:
-        doc: dict = {"command": list(self.command)}
-        if self.error is None:
-            doc["result"] = self.result
-        else:
-            doc["error"] = self.error
-        return doc
+        outcome = {"result": self.result} if self.error is None else {"error": self.error}
+        return {"command": list(self.command), **outcome}
 
 
-class _Parser(argparse.ArgumentParser):
-    """Raises argparse's message, for ``dispatch`` to report; subparsers share the class."""
+_PATH, _PAIR, _WORD = {"path": None}, {"first": None, "second": None}, {"subcommand": None}
+_BASE = {"--base": (str, None, True, "basepoint object")}
 
-    def error(self, message):
-        raise argparse.ArgumentError(None, message)
+# Each command line by its words: (help, options, positionals).  An option
+# maps its flag to (converter, default, required, help), read into the flag's
+# name with "_" for "-"; a positional maps to its help.  A group's one
+# positional is the next word, which names a key below it; ``_BELOW`` lists
+# the words that may follow each command line, in table order.
+_TABLE = {
+    (): ("Exact invariants of finite categories, diagram categories, and surface cobordisms.", {},
+         {"command": None}),
+    ("cat",): ("finite categories and their nerves", {}, _WORD),
+    ("cat", "homology"): ("integer homology of the nerve", {
+        "--cap": (parse_int, 3, False, "degrees computed: H_0..H_{cap-1}")}, {"path": "category JSON file"}),
+    ("cat", "pi1"): ("fundamental group presentation", _BASE, _PATH),
+    ("cat", "pi0"): ("connected components", {}, _PATH),
+    ("cat", "validate"): ("check the category axioms", {}, _PATH),
+    ("localize",): ("invariants of localized categories", {}, _WORD),
+    ("localize", "aut"): ("automorphisms of an object after localization", _BASE, _PATH),
+    ("localize", "surfaces"): ("surface relation engine", {
+        "--max-chi": (parse_int, 4, False, "complexity bound: classes with chi >= -N")}, {}),
+    ("cob1",): ("planar diagram words", {}, _WORD),
+    ("cob1", "f"): ("signed circle count of a diagram", {}, _PATH),
+    ("cob1", "compose"): ("stack two diagram words", {}, _PAIR),
+    ("cob1", "reduce"): ("class of a closed word in the localization", {}, _PATH),
+    ("cob2",): ("surface cobordisms", {}, _WORD),
+    ("cob2", "compose"): ("glue two cobordisms", {}, _PAIR),
+    ("cob2", "euler"): ("Euler theory value chi(W) - chi(src)", {}, _PATH),
+    ("cob2", "class"): ("connected-class factorization of a closed surface", {}, _PATH),
+    ("cob2", "kcheck"): ("connectivity of the outgoing boundary", {"--k": (parse_int, 0, False, None)}, _PATH),
+    ("picard",): ("skeletal symmetric monoidal groupoids", {}, _WORD),
+    ("picard", "k"): ("k-invariant of an object class", {
+        "--input": (str, None, True, "Picard data JSON file"),
+        "--element": (str, None, True, "comma-separated coordinates")}, {}),
+    ("picard", "equivalent"): ("decide equivalence", {}, _PAIR),
+    ("picard", "cob1"): ("derived Picard data of the 1d localization", {
+        "--max-points": (parse_int, 8, False, None)}, {}),
+    ("frob",): ("field theories from a symmetric pairing", {}, _WORD),
+    ("frob", "eval"): ("matrix of a matching", {}, {"theory": None, "morphism": None}),
+    ("frob", "extend"): ("extension criterion verdict", {}, {"theory": None}),
+    ("relations",): ("check the commuting-square relation classes of a finite category", {
+        "--base": (str, None, False, "restrict to one component")}, _PATH),
+}
+_BELOW = {key: [k[-1] for k in _TABLE if k and k[:-1] == key] for key in _TABLE}
 
 
-def _integer(text: str) -> int:
-    try:
-        return parse_int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+def _option(arg: str, flags: list[str]) -> tuple | None:
+    """argparse's reading of an argument before ``--``: None for a positional, else
+    (flag or None if none is named, text after "=" or None); ``-hx`` gives help "x"."""
+    if arg[:1] != "-" or arg == "-":
+        return None
+    if arg[1] == "h":  # -h, -hh and -h=h ask for help
+        rest = arg[3:] if arg[2:3] == "=" else arg[2:]
+        return "--help", "" if arg == "-h=" else rest.lstrip("h") or None
+    name, eq, text = arg.partition("=")
+    found = [name] if name in flags else [f for f in flags if name[1:2] == "-" and f.startswith(name)]
+    if len(found) > 1:
+        raise ValueError(f"ambiguous option: {arg} could match {', '.join(found)}")
+    if found:
+        return found[0], text if eq else None
+    return None if re.match(r"^-\d+$|^-\d*\.\d+$", arg) or " " in arg else (None, None)
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    top = _Parser(
-        prog="cobcat",
-        description="Exact invariants of finite categories, diagram "
-        "categories, and surface cobordisms.",
-    )
-    sub = top.add_subparsers(dest="command", required=True)
+def _parse(argv) -> tuple[tuple, SimpleNamespace | None]:
+    """The table key ``argv`` names and its values as argparse read them, or
+    None for a help request's; a refusal raises ValueError with its text."""
+    args, extras, key = list(argv), [], ()
+    if args.count("--") > 1:  # argparse left some positionals a list here; refused instead
+        raise ValueError("'--' given more than once")
+    while True:
+        _, options, positionals = _TABLE[key]
+        below, end = _BELOW[key], args.index("--") if "--" in args else len(args)
+        kinds = [_option(arg, ["--help", *options]) for arg in args[:end]]  # all read before any is taken
+        kinds += ["--"] + [None] * (len(args) - end - 1)  # after "--", only positionals
+        values = {flag: option[1] for flag, option in options.items()}
+        todo, filled, i = list(positionals), False, 0
+        while i < len(args) and not (below and (kinds[i] is None or kinds[i] == "--" and i + 1 < len(args))):
+            kind, joined, filled = kinds[i], filled, kinds[i] is None and bool(todo)
+            if kind == "--":  # joins the positional next to it, or is left over
+                if not (joined or todo and i + 1 < len(args)):
+                    extras.append("--")
+            elif filled:
+                values[todo.pop(0)] = args[i]
+            elif kind is None or kind[0] is None:
+                extras.append(args[i])
+            elif kind[0] == "--help":
+                if kind[1] is None:
+                    return key, None
+                raise ValueError(f"argument -h/--help: ignored explicit argument {kind[1]!r}")
+            else:
+                flag, text = kind
+                if text is None:
+                    if kinds[i + 1] is not None:
+                        raise ValueError(f"argument {flag}: expected one argument")
+                    i, text = i + 1, args[i + 1]
+                try:
+                    values[flag] = options[flag][0](text)
+                except ValueError:
+                    raise ValueError(f"argument {flag}: invalid integer {text!r}") from None
+            i += 1
+        if i == len(args):
+            break
+        if args[i] not in below:  # a group's next word
+            choices = ", ".join(map(repr, below))
+            raise ValueError(f"argument {todo[0]}: invalid choice: {args[i]!r} (choose from {choices})")
+        key, args = key + (args[i],), args[i + 1 :]
+    missing = [flag for flag, option in options.items() if option[2] and values[flag] is None] + todo
+    if missing:
+        raise ValueError("the following arguments are required: " + ", ".join(missing))
+    if extras:
+        raise ValueError("unrecognized arguments: " + " ".join(extras))
+    values = {name.lstrip("-").replace("-", "_"): value for name, value in values.items()}
+    return key, SimpleNamespace(**dict(zip(("command", "subcommand"), key)), **values)
 
-    cat = sub.add_parser("cat", help="finite categories and their nerves")
-    cat_sub = cat.add_subparsers(dest="subcommand", required=True)
-    hom = cat_sub.add_parser("homology", help="integer homology of the nerve")
-    hom.add_argument("--cap", type=_integer, default=3, help="degrees computed: H_0..H_{cap-1}")
-    hom.add_argument("path", help="category JSON file")
-    pi1p = cat_sub.add_parser("pi1", help="fundamental group presentation")
-    pi1p.add_argument("--base", required=True, help="basepoint object")
-    pi1p.add_argument("path")
-    pi0p = cat_sub.add_parser("pi0", help="connected components")
-    pi0p.add_argument("path")
-    val = cat_sub.add_parser("validate", help="check the category axioms")
-    val.add_argument("path")
 
-    loc = sub.add_parser("localize", help="invariants of localized categories")
-    loc_sub = loc.add_subparsers(dest="subcommand", required=True)
-    aut = loc_sub.add_parser("aut", help="automorphisms of an object after localization")
-    aut.add_argument("--base", required=True, help="basepoint object")
-    aut.add_argument("path")
-    surf = loc_sub.add_parser("surfaces", help="surface relation engine")
-    surf.add_argument("--max-chi", type=_integer, default=4, dest="max_chi",
-                      help="complexity bound: classes with chi >= -N")
-
-    c1 = sub.add_parser("cob1", help="planar diagram words")
-    c1_sub = c1.add_subparsers(dest="subcommand", required=True)
-    f1 = c1_sub.add_parser("f", help="signed circle count of a diagram")
-    f1.add_argument("path")
-    comp1 = c1_sub.add_parser("compose", help="stack two diagram words")
-    comp1.add_argument("first")
-    comp1.add_argument("second")
-    red = c1_sub.add_parser("reduce", help="class of a closed word in the localization")
-    red.add_argument("path")
-
-    c2 = sub.add_parser("cob2", help="surface cobordisms")
-    c2_sub = c2.add_subparsers(dest="subcommand", required=True)
-    comp2 = c2_sub.add_parser("compose", help="glue two cobordisms")
-    comp2.add_argument("first")
-    comp2.add_argument("second")
-    eul = c2_sub.add_parser("euler", help="Euler theory value chi(W) - chi(src)")
-    eul.add_argument("path")
-    cls2 = c2_sub.add_parser("class", help="connected-class factorization of a closed surface")
-    cls2.add_argument("path")
-    kch = c2_sub.add_parser("kcheck", help="connectivity of the outgoing boundary")
-    kch.add_argument("--k", type=_integer, default=0)
-    kch.add_argument("path")
-
-    pic = sub.add_parser("picard", help="skeletal symmetric monoidal groupoids")
-    pic_sub = pic.add_subparsers(dest="subcommand", required=True)
-    pk = pic_sub.add_parser("k", help="k-invariant of an object class")
-    pk.add_argument("--input", required=True, help="Picard data JSON file")
-    pk.add_argument("--element", required=True, help="comma-separated coordinates")
-    peq = pic_sub.add_parser("equivalent", help="decide equivalence")
-    peq.add_argument("first")
-    peq.add_argument("second")
-    pc1 = pic_sub.add_parser("cob1", help="derived Picard data of the 1d localization")
-    pc1.add_argument("--max-points", type=_integer, default=8, dest="max_points")
-
-    fr = sub.add_parser("frob", help="field theories from a symmetric pairing")
-    fr_sub = fr.add_subparsers(dest="subcommand", required=True)
-    fev = fr_sub.add_parser("eval", help="matrix of a matching")
-    fev.add_argument("theory")
-    fev.add_argument("morphism")
-    fex = fr_sub.add_parser("extend", help="extension criterion verdict")
-    fex.add_argument("theory")
-
-    rel = sub.add_parser(
-        "relations",
-        help="check the commuting-square relation classes of a finite category",
-    )
-    rel.add_argument("--base", default=None, help="restrict to one component")
-    rel.add_argument("path")
-
-    return top
+def _help(key: tuple) -> dict:
+    """The help for the command line ``key``, from the table."""
+    text, options, positionals = _TABLE[key]
+    options = [{"default": d, "help": h, "name": f, "required": r} for f, (_, d, r, h) in options.items()]
+    positionals = [{"help": note, "name": name} for name, note in positionals.items()]
+    words = [{"help": _TABLE[key + (word,)][0], "name": word} for word in _BELOW[key]]
+    return {"help": text, "options": options, "positionals": positionals, "words": words}
 
 
 def _load(path: str):
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except RecursionError:
-            raise ValueError(f"{path}: JSON nested too deeply") from None
+    """The JSON document in a file, read once as bytes and decoded as text mode does."""
+    with open(path, "rb", buffering=0) as fh:
+        text = fh.read().decode("utf-8")
+    try:  # Universal newlines, so every JSON error offset is a text-mode read's.
+        return json.loads(text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _run_cat(args) -> object:
@@ -182,10 +209,7 @@ def _run_localize(args) -> object:
         "abelianized": invariants.to_json(),
         "base": args.base,
         "generators": list(p.generators),
-        "loop_classes": {
-            c.morphisms[i]: [list(pair) for pair in pairs]
-            for i, pairs in classes.items()
-        },
+        "loop_classes": {c.morphisms[i]: [list(pair) for pair in pairs] for i, pairs in classes.items()},
         "relators": [p.render_word(r) for r in p.relators],
     }
 
@@ -193,8 +217,7 @@ def _run_localize(args) -> object:
 def _run_cob1(args) -> object:
     from . import cob1
     if args.subcommand == "compose":
-        a = cob1.diagram_from_json(_load(args.first))
-        b = cob1.diagram_from_json(_load(args.second))
+        a, b = (cob1.diagram_from_json(_load(path)) for path in (args.first, args.second))
         return cob1.compose_planar(a, b).to_json()
     w = cob1.diagram_from_json(_load(args.path))
     if args.subcommand == "f":
@@ -205,8 +228,7 @@ def _run_cob1(args) -> object:
 def _run_cob2(args) -> object:
     from . import cob2
     if args.subcommand == "compose":
-        a = cob2.surface_from_json(_load(args.first))
-        b = cob2.surface_from_json(_load(args.second))
+        a, b = (cob2.surface_from_json(_load(path)) for path in (args.first, args.second))
         return cob2.surface_to_json(cob2.compose_surface(a, b))
     w = cob2.surface_from_json(_load(args.path))
     if args.subcommand == "euler":
@@ -229,9 +251,7 @@ def _run_cob2(args) -> object:
 
 def _parse_element(text: str) -> tuple[int, ...]:
     text = text.strip()
-    if not text:
-        return ()
-    return tuple(parse_int(part) for part in text.split(","))
+    return tuple(parse_int(part) for part in text.split(",")) if text else ()
 
 
 def _run_picard(args) -> object:
@@ -241,8 +261,7 @@ def _run_picard(args) -> object:
         x = p.pi0.normalize(_parse_element(args.element))
         return {"element": list(x), "k": list(monoidal.k_invariant(p, x))}
     if args.subcommand == "equivalent":
-        a = monoidal.picard_from_json(_load(args.first))
-        b = monoidal.picard_from_json(_load(args.second))
+        a, b = (monoidal.picard_from_json(_load(path)) for path in (args.first, args.second))
         return {"equivalent": monoidal.picard_equivalent(a, b)}
     return monoidal.cob1_picard(args.max_points).to_json()
 
@@ -252,31 +271,17 @@ def _run_frob(args) -> object:
     theory = monoidal.frobenius_from_json(_load(args.theory))
     if args.subcommand == "extend":
         ext = monoidal.extend_to_full(theory)
-        circle = None
-        if ext.evaluator is not None:
-            circle = theory.field.to_json(ext.evaluator.circle_value())
-        return {
-            "circle": circle,
-            "dim": theory.dim,
-            "extends": ext.extends,
-            "reason": ext.reason,
-        }
+        circle = None if ext.evaluator is None else theory.field.to_json(ext.evaluator.circle_value())
+        return {"circle": circle, "dim": theory.dim, "extends": ext.extends, "reason": ext.reason}
     w = cob1.matching_from_json(_load(args.morphism))
     if cob1.restricted_from_matching(w) is not None:
         mat = monoidal.evaluate_restricted(theory, w)
     else:
         ext = monoidal.extend_to_full(theory)
         if not ext.extends:
-            raise ValueError(
-                "morphism needs caps or circles but the "
-                + ext.reason
-            )
+            raise ValueError("morphism needs caps or circles but the " + ext.reason)
         mat = ext.evaluator.evaluate(w)
-    return {
-        "cols": theory.dim**w.m,
-        "matrix": monoidal.mat_to_json(theory.field, mat),
-        "rows": theory.dim**w.n,
-    }
+    return {"cols": theory.dim**w.m, "matrix": monoidal.mat_to_json(theory.field, mat), "rows": theory.dim**w.n}
 
 
 def _run_relations(args) -> object:
@@ -303,13 +308,8 @@ def _run_relations(args) -> object:
 
 
 _HANDLERS = {
-    "cat": _run_cat,
-    "localize": _run_localize,
-    "cob1": _run_cob1,
-    "cob2": _run_cob2,
-    "picard": _run_picard,
-    "frob": _run_frob,
-    "relations": _run_relations,
+    "cat": _run_cat, "localize": _run_localize, "cob1": _run_cob1, "cob2": _run_cob2,
+    "picard": _run_picard, "frob": _run_frob, "relations": _run_relations,
 }
 
 
@@ -317,14 +317,13 @@ def dispatch(argv) -> RunReport:
     """Parse and execute one command line; never raises on domain errors."""
     start = time.perf_counter()
     command = tuple(argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(list(argv))
-    except argparse.ArgumentError as exc:
-        error = f"unrecognized command line; {exc}; " + parser.format_usage().strip()
+        key, args = _parse(command)
+    except ValueError as exc:
+        error = f"unrecognized command line; {exc}; usage: cobcat [-h] {{{','.join(_BELOW[()])}}} ..."
         return RunReport(command, None, error, 1, time.perf_counter() - start)
     try:
-        result = _HANDLERS[args.command](args)
+        result = _help(key) if args is None else _HANDLERS[args.command](args)
         error, code = None, 0
     except ResourceLimitExceeded as exc:
         result, error, code = None, str(exc), 2

@@ -359,13 +359,22 @@ def fundamental_group(c: FinCat, basepoint: str) -> GroupPresentation:
     where ``h = g after f`` (the ``h`` letter is dropped when the composite
     is an identity).  The presentation is raw: no Tietze move shrinks it.
     Its dense relator matrix, relators times generators entries, is held to
-    the cell ceiling here, before anything reduces it, so every command that
-    reads the presentation is priced by this one check.
+    the cell ceiling here, before the spanning tree is grown or anything
+    reduces it, so every command that reads the presentation is priced by
+    this one check.
     """
     base = c.object_index(basepoint)
     component = c.components[base]
     gens = sorted(f for x in component for f in c.arrows[x])
     gen_letter = {f: i + 1 for i, f in enumerate(gens)}
+    # One relator per tree edge and one per composable pair, counted before
+    # the tree is grown: its passes are quadratic in a long path.
+    rows, width = len(component) - 1 + sum(len(c.arrows[c.tgt[f]]) for f in gens), len(gens)
+    check_count(
+        rows * width,
+        f"the presentation at {basepoint} would reduce {rows} relators over "
+        f"{width} generators, {rows * width} matrix entries",
+    )
 
     # Breadth-first spanning tree, scanning morphisms in index order so the
     # result is deterministic.  A morphism joins the tree only when exactly
@@ -388,12 +397,6 @@ def fundamental_group(c: FinCat, basepoint: str) -> GroupPresentation:
                 relators.append((gen_letter[g], gen_letter[f]))
             else:
                 relators.append((gen_letter[g], gen_letter[f], -gen_letter[h]))
-    rows, width = len(relators), len(gens)
-    check_count(
-        rows * width,
-        f"the presentation at {basepoint} would reduce {rows} relators over "
-        f"{width} generators, {rows * width} matrix entries",
-    )
     return GroupPresentation(
         tuple(c.morphisms[f] for f in gens), tuple(relators)
     )

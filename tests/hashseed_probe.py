@@ -1,6 +1,7 @@
 """Print the standard output of every ``cli-batch`` benchmark job, at seeds
-1 and 2, and of ``relations`` and ``localize aut`` on a category with
-several components.
+1 and 2, of ``relations`` and ``localize aut`` on a category with several
+components, and of the malformed command lines and help requests that
+``tests/cli_helpers.py`` pins.
 
     PYTHONHASHSEED=0 python3 tests/hashseed_probe.py > a.txt
     PYTHONHASHSEED=1 python3 tests/hashseed_probe.py > b.txt
@@ -50,7 +51,18 @@ def components_probe(work: str) -> None:
         print(" ".join(argv[:-1]), text.replace(work, "<work>"))
 
 
+def command_line_probe() -> None:
+    """Each pinned malformed command line and help request, whose output
+    comes from the command-line table alone."""
+    from cobcat.cli import dispatch
+    from cli_helpers import HELP, MALFORMED
+
+    for argv in [argv for argv, _ in MALFORMED] + HELP:
+        print(json.dumps(dispatch(argv).payload(), sort_keys=True))
+
+
 def main() -> None:
+    command_line_probe()
     for seed in (1, 2):
         with tempfile.TemporaryDirectory() as work:
             _, jobs, _ = run.set_up(run.wl_cli, seed, Path(work), None)

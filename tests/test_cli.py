@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import cobcat
 from cobcat import cli, cob1, cob2, fincat, limits, nerve
 from cobcat.cli import RunReport, dispatch, main
+from cli_helpers import HELP, MALFORMED, USAGE, argparse_reading, text_load
 from fincat_helpers import cyclic_group_category, disjoint_union, product, to_json
 from localize_oracles import brute_force_relations
 
@@ -683,9 +684,11 @@ def sparse_category(n: int, arrows) -> fincat.FinCat:
     return fincat.build_category(objects, ids + named, {o: f"id_{o}" for o in objects}, compose)
 
 
-def zigzag_category(n: int) -> fincat.FinCat:
-    """The path o0 -> o1 <- o2 -> o3 ...: n - 1 arrows, none composable."""
-    return sparse_category(n, [(i, i + 1) if i % 2 == 0 else (i + 1, i) for i in range(n - 1)])
+def zigzag_category(n: int, reverse: bool = False) -> fincat.FinCat:
+    """The path o0 -> o1 <- o2 -> o3 ...: n - 1 arrows, none composable,
+    listed from o0 out or, with ``reverse``, towards it."""
+    arrows = [(i, i + 1) if i % 2 == 0 else (i + 1, i) for i in range(n - 1)]
+    return sparse_category(n, arrows[::-1] if reverse else arrows)
 
 
 class TestManyObjects:
@@ -723,6 +726,20 @@ class TestManyObjects:
         assert time.perf_counter() - start < 1.5
         error = json.loads(capsys.readouterr().out)["error"]
         assert f"{n - 1} relators over {n - 1} generators, {(n - 1) ** 2} matrix entries" in error
+
+    @pytest.mark.parametrize("argv", [["cat", "pi1", "--base", "o0"], ["relations"]], ids=["pi1", "relations"])
+    def test_reversed_zigzag_is_priced_before_the_tree(self, tmp_path, capsys, monkeypatch, argv):
+        # With its arrows listed towards o0, each spanning-tree pass adds one
+        # edge: 3,999 passes over 3,999 arrows, all after the price refuses.
+        monkeypatch.delenv("COBCAT_MAX_CELLS", raising=False)
+        forward = write(tmp_path, "forward.json", to_json(zigzag_category(4000)))
+        reverse = write(tmp_path, "reverse.json", to_json(zigzag_category(4000, reverse=True)))
+        assert main([*argv, forward]) == 2
+        refused = json.loads(capsys.readouterr().out)["error"]
+        start = time.perf_counter()
+        assert main([*argv, reverse]) == 2
+        assert time.perf_counter() - start < 0.3
+        assert json.loads(capsys.readouterr().out)["error"] == refused
 
 
 def chain_category(n: int) -> fincat.FinCat:
@@ -852,6 +869,163 @@ class TestStrictIntegers:
     def test_negative_integers_are_read(self, files):
         assert ok("picard", "k", "--input", files["svect"], "--element", "-1")["element"] == [1]
         assert ok("cob2", "kcheck", "--k", "-1", files["cylinder"])["k"] == -1
+
+
+def table_reading(argv) -> tuple[str, object]:
+    """How ``cli._parse`` reads ``argv``, in ``argparse_reading``'s terms."""
+    try:
+        key, args = cli._parse(argv)
+    except ValueError as exc:
+        return "error", str(exc)
+    return ("help", key) if args is None else ("args", vars(args))
+
+
+def oracle_reading(argv) -> tuple[str, object]:
+    """``argparse_reading``, with a help request named by the words that
+    lead its usage line."""
+    kind, found = argparse_reading(argv)
+    return (kind, tuple(found.split(" [-h]")[0].split()[2:])) if kind == "help" else (kind, found)
+
+
+LEAVES = [key for key in cli._TABLE if not cli._BELOW[key]]
+# Arguments that start with "-" or read as a positional in some parsers.
+DASHED = [
+    "-1", "-5", "-1.5", "-\N{ARABIC-INDIC DIGIT THREE}", "-5\n", "-x", "-x=3", "-", "--", "---x", "--zz",
+    "--zz=3", "-1 x", "--b", "--base=", "--cap=", "--m", "-h", "-hh", "-hx", "-h=x", "-h=", "--he",
+    "--help", "--help=x", "--=3", "",
+]
+
+
+@st.composite
+def command_lines(draw) -> list[str]:
+    """A command line drawn from the table, then mutated: options in any
+    order, as "--name value", "--name=value" or a prefix of the name, and
+    arguments inserted, dropped or repeated."""
+    key = draw(st.sampled_from(LEAVES))
+    _, options, positionals = cli._TABLE[key]
+    parts = [[f"{name}.json"] for name in positionals]
+    for flag, (convert, _, required, _) in options.items():
+        if required or draw(st.booleans()):
+            value = draw(st.sampled_from(["3", "-1", "0", "x"] if convert is limits.parse_int else ["o0", "-1", "*"]))
+            name = flag[: draw(st.integers(3, len(flag)))]
+            parts.append([f"{name}={value}"] if draw(st.booleans()) else [name, value])
+    argv = list(key) + [arg for part in draw(st.permutations(parts)) for arg in part]
+    words = ["nonsense", "cat", "homology", "relations", "cap", "o0", "a.json"]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["insert", "drop", "repeat"]))
+        if edit == "insert":
+            argv.insert(at, draw(st.sampled_from(DASHED + words)))
+        elif at < len(argv):
+            argv[at:at + 1] = [] if edit == "drop" else [argv[at]] * 2
+    # A second "--" is refused; see test_a_second_double_dash_is_refused.
+    assume(argv.count("--") < 2)
+    return argv
+
+
+class TestCommandLine:
+    """The table reader against the argparse parser it replaced."""
+
+    @pytest.mark.parametrize("argv, message", MALFORMED, ids=[" ".join(a) or "empty" for a, _ in MALFORMED])
+    def test_malformed_lines_keep_their_text(self, argv, message):
+        report = dispatch(argv)
+        assert report.exit_code == 1 and report.result is None
+        assert report.error == f"unrecognized command line; {message}; {USAGE}"
+
+    @pytest.mark.parametrize(
+        "argv, values",
+        [
+            (["localize", "surfaces", "--max", "3"], {"max_chi": 3}),
+            (["localize", "surfaces", "--max-chi=-2"], {"max_chi": -2}),
+            (["cob2", "kcheck", "--k", "-1", "c.json"], {"k": -1, "path": "c.json"}),
+            (["cob2", "kcheck", "c.json", "--k", "1", "--k", "2"], {"k": 2, "path": "c.json"}),
+            (["picard", "k", "--element", "-1", "--in=p.json"], {"element": "-1", "input": "p.json"}),
+            (["cat", "homology", "--", "-c.json"], {"cap": 3, "path": "-c.json"}),
+            (["relations", "c.json", "--base", "-"], {"base": "-", "path": "c.json"}),
+        ],
+    )
+    def test_accepted_forms(self, argv, values):
+        key, args = cli._parse(argv)
+        assert vars(args) == dict(zip(("command", "subcommand"), key), **values)
+        assert oracle_reading(argv) == table_reading(argv)
+
+    @pytest.mark.parametrize("argv", HELP, ids=[" ".join(a) for a in HELP])
+    def test_help_is_one_document(self, argv, capsys):
+        report = dispatch(argv)
+        assert isinstance(report, RunReport) and report.exit_code == 0
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1
+        assert json.loads(out) == {"command": argv, "result": report.result}
+
+    def test_help_lists_what_follows(self):
+        top = ok("--help")
+        assert [word["name"] for word in top["words"]] == ["cat", "localize", "cob1", "cob2", "picard", "frob", "relations"]
+        assert top["positionals"] == [{"help": None, "name": "command"}]
+        cat = ok("cat", "-h", "nonsense")
+        assert cat["words"][0] == {"help": "integer homology of the nerve", "name": "homology"}
+        assert ok("cat", "homology", "--cap", "2", "-h") == {
+            "help": "integer homology of the nerve",
+            "options": [{"default": 3, "help": "degrees computed: H_0..H_{cap-1}", "name": "--cap", "required": False}],
+            "positionals": [{"help": "category JSON file", "name": "path"}],
+            "words": [],
+        }
+        assert ok("picard", "k", "--he")["options"][1] == {
+            "default": None, "help": "comma-separated coordinates", "name": "--element", "required": True,
+        }
+
+    def test_an_error_before_help_wins(self):
+        report = dispatch(("cat", "homology", "--cap", "x", "-h"))
+        assert report.error.startswith("unrecognized command line; argument --cap: invalid integer 'x'")
+
+    @pytest.mark.parametrize("argv", [["cob1", "compose", "a.json", "--", "--"], ["cat", "homology", "--", "--"]])
+    def test_a_second_double_dash_is_refused(self, argv):
+        # Declared change: argparse gave the first line's second positional
+        # the list [], and the second line's path "--".
+        report = dispatch(argv)
+        assert report.exit_code == 1
+        assert report.error == f"unrecognized command line; '--' given more than once; {USAGE}"
+
+    @pytest.mark.skipif(sys.version_info >= (3, 12), reason="the reference is argparse as 3.10 and 3.11 read")
+    @settings(max_examples=500, deadline=None)
+    @given(command_lines())
+    def test_reads_as_argparse_did(self, argv):
+        assert table_reading(argv) == oracle_reading(argv)
+
+
+def load_corpus() -> dict[str, bytes]:
+    """Input files whose bytes a text-mode read changes or refuses."""
+    valid = json.dumps(to_json(fincat.parallel_pair()), indent=1).encode()
+    return {
+        "crlf": valid.replace(b"\n", b"\r\n"),
+        "lone cr": valid.replace(b"\n", b"\r"),
+        "mixed newlines": valid.replace(b"\n", b"\r\n", 3).replace(b"\n", b"\r", 2),
+        "bom": b"\xef\xbb\xbf" + valid,
+        "invalid utf-8": valid.replace(b'"a"', b'"\xff"'),
+        "truncated utf-8": valid + b"\xe2\x82",
+        "utf-16": valid.decode().encode("utf-16"),
+        "syntax error after crlf": valid.replace(b"\n", b"\r\n").replace(b'"b"', b"b", 1),
+        "cr in a string": valid.replace(b'"a"', b'"a\rb"', 1),
+        "deep": b"[" * 100_000 + b"]" * 100_000,
+    }
+
+
+class TestLoad:
+    @pytest.mark.parametrize("name", sorted(load_corpus()))
+    def test_bytes_read_as_text_mode(self, tmp_path, monkeypatch, name):
+        path = tmp_path / "input.json"
+        path.write_bytes(load_corpus()[name])
+        report = dispatch(("cat", "validate", str(path)))
+        monkeypatch.setattr(cli, "_load", text_load)
+        text = dispatch(("cat", "validate", str(path)))
+        assert (report.result, report.error, report.exit_code) == (text.result, text.error, text.exit_code)
+
+    def test_offsets_count_translated_newlines(self, tmp_path):
+        path = tmp_path / "input.json"
+        path.write_bytes(b'{\r\n"objects":\r\n}')
+        assert dispatch(("cat", "validate", str(path))).error == (
+            "JSONDecodeError: Expecting value: line 3 column 1 (char 13)"
+        )
 
 
 class TestReportShape:
@@ -991,6 +1165,7 @@ class TestStartup:
             "from cobcat import cli\n"
             "report = cli.dispatch(json.loads(sys.argv[1]))\n"
             "assert report.exit_code == 0, report.error\n"
+            "assert 'argparse' not in sys.modules\n"
             "print(json.dumps(sorted(k[7:] for k in sys.modules if k.startswith('cobcat.'))))\n"
         )
         argv = [arg.format(**files) for arg in argv]
